@@ -277,13 +277,15 @@ bestSeconds(int reps, Fn &&fn)
  * Hand-timed hot-path summaries for BENCH_micro.json: the same three
  * paths this PR family optimizes (event kernel, GeMV, one engine
  * decode), so the perf trajectory is diffable across commits.
+ * wall_clock_s covers the whole process from @p wall0: the
+ * google-benchmark phase (when not filtered out) plus every summary
+ * below.
  */
 void
-emitJson(double bench_wall_s)
+emitJson(std::chrono::steady_clock::time_point wall0)
 {
     bench::BenchJson j;
     j.addString("bench", "bench_micro_kernels");
-    j.add("wall_clock_s", bench_wall_s);
 
     {
         constexpr int kEvents = 100000;
@@ -393,8 +395,15 @@ emitJson(double bench_wall_s)
         j.add("sweep.threads", std::uint64_t(hw));
         j.add("sweep.sequential_s", seq_s);
         j.add("sweep.parallel_s", par_s);
-        j.add("sweep.speedup", seq_s / par_s);
+        // One worker measures run-to-run noise, not a speedup.
+        if (hw > 1)
+            j.add("sweep.speedup", seq_s / par_s);
     }
+
+    j.add("wall_clock_s",
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        wall0)
+              .count());
 
     const char *path = "BENCH_micro.json";
     if (j.writeTo(path))
@@ -408,16 +417,12 @@ emitJson(double bench_wall_s)
 int
 main(int argc, char **argv)
 {
+    const auto wall0 = std::chrono::steady_clock::now();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    const auto wall0 = std::chrono::steady_clock::now();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall0)
-            .count();
-    emitJson(wall_s);
+    emitJson(wall0);
     return 0;
 }

@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Diff fresh BENCH_*.json files against the committed baselines.
+
+Usage (from the repository root, after building into BUILD_DIR and
+running bench_micro_kernels and bench_serving there):
+
+    python3 bench/perf_diff.py [BUILD_DIR]     # default: build
+
+Baselines are the BENCH_*.json files at the repository root. Each
+tracked key prints one line with its baseline-to-current ratio; a key
+that moved past its bound in its "worse" direction prints as a GitHub
+Actions ``::warning::`` annotation. The diff is warn-only: it always
+exits 0, because CI machines vary.
+"""
+
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def diff(base_path, now_path, lower_is_worse, higher_is_worse,
+         either_is_worse=()):
+    with open(base_path) as f:
+        base = json.load(f)
+    with open(now_path) as f:
+        now = json.load(f)
+    for key, worse_below, worse_above in (
+            [(k, True, False) for k in lower_is_worse] +
+            [(k, False, True) for k in higher_is_worse] +
+            [(k, True, True) for k in either_is_worse]):
+        if key not in base or key not in now:
+            print(f'::warning::perf key {key} missing '
+                  f'(baseline: {key in base}, '
+                  f'current: {key in now})')
+            continue
+        b, n = float(base[key]), float(now[key])
+        ratio = n / b if b else float('inf')
+        line = (f'{key}: baseline {b:.3g} -> current {n:.3g} '
+                f'({ratio:.2f}x)')
+        # CI machines vary; only flag clear regressions.
+        if (worse_below and ratio < 0.7) or \
+           (worse_above and ratio > 1.4):
+            print(f'::warning::perf regression {line}')
+        else:
+            print(line)
+
+
+def main(build_dir):
+    # The events/sec keys diff in BOTH directions: a drop is a
+    # kernel regression, while a silent jump means the calendar
+    # or the workload changed shape and the committed baseline
+    # needs a deliberate re-commit (the hierarchical-wheel PR
+    # itself moved gap_events_per_s by design).
+    diff(os.path.join(ROOT, 'BENCH_micro.json'),
+         os.path.join(build_dir, 'BENCH_micro.json'),
+         lower_is_worse=[
+             'gemv512.blocked_elems_per_s',
+             'gemv512.simd_elems_per_s',
+             'decode.preset_s_opt6_7b_tokens_per_s',
+         ],
+         higher_is_worse=[],
+         either_is_worse=[
+             'event_queue.events_per_s',
+             'event_queue.gap_events_per_s',
+             'fleet.events_per_s',
+         ])
+
+    # The SLO smoke scenario and the KV capacity smoke point are
+    # identical in --smoke and full runs and fully deterministic,
+    # so their percentile keys diff tick-for-tick against the
+    # committed full-run baseline.
+    diff(os.path.join(ROOT, 'BENCH_serving.json'),
+         os.path.join(build_dir, 'BENCH_serving.json'),
+         lower_is_worse=[
+             'slo_smoke.fcfs.finite_run_tokens_per_s',
+             'slo_smoke.chunked256.finite_run_tokens_per_s',
+             'kv_sweep.budget50.finite_run_tokens_per_s',
+         ],
+         higher_is_worse=[
+             'slo_smoke.fcfs.ttft.p95_ms',
+             'slo_smoke.fcfs.tbt.p95_ms',
+             'slo_smoke.chunked256.ttft.p95_ms',
+             'slo_smoke.chunked256.tbt.p95_ms',
+             'slo_smoke.chunked256.ttft.p50_ms',
+             'kv_sweep.budget50.ttft.p95_ms',
+         ],
+         # The worst fault corner (5% UCP + channel 0 offline)
+         # and the reliability smoke corner (bump placement,
+         # ECC 32, fastest refresh on the aged device) run
+         # identically in --smoke. Goodput, tails, retry volume
+         # and the wear spread under injected wear are
+         # calibration points, not scores — a shift in EITHER
+         # direction means the reliability model moved and the
+         # baseline needs a deliberate re-commit.
+         either_is_worse=[
+             # KV reuse points run identically in --smoke: the
+             # 50%-budget swap point (swap volume and the tail it
+             # buys back) and the shared-prefix capacity pair
+             # (hit blocks, users/GB both sides). Movement in
+             # either direction means the swap cost model or the
+             # prefix tree changed and the baseline needs a
+             # deliberate re-commit.
+             'kv_sweep.swap50.ttft.p95_ms',
+             'kv_sweep.swap50.swap_out_blocks',
+             'kv_sweep.swap50.swap_in_blocks',
+             'kv_sweep.swap50.kv_swap_channel_mb',
+             'kv_sweep.share_on.prefix_hit_blocks',
+             'kv_sweep.share.users_per_gb_off',
+             'kv_sweep.share.users_per_gb_on',
+             'fault_sweep.ucp5_offline.goodput_tokens_per_s',
+             'fault_sweep.ucp5_offline.ttft.p95_ms',
+             'reliability_sweep.bump_ecc32_r1000.goodput_tokens_per_s',
+             'reliability_sweep.bump_ecc32_r1000.retry_channel_mb',
+             'reliability_sweep.bump_ecc32_r1000.tbt.p99_ms',
+             'reliability_sweep.bump_ecc32_r1000.wear_spread_pe',
+             'reliability_sweep.bump_ecc32_r1000.refresh_mb',
+         ])
+
+
+if __name__ == '__main__':
+    main(sys.argv[1] if len(sys.argv) > 1 else 'build')

@@ -9,13 +9,15 @@
  * model layer), and each request owns a block table — the ordered
  * list of blocks its logical KV stream maps onto. The scheduler grows
  * a table as prefill chunks and decode steps append KV, releases it
- * when the request retires, and evicts it whole when the request is
- * preempted under memory pressure.
+ * when the request retires, and evicts it (whole, or only its cold
+ * tail) when the request is preempted under memory pressure.
  *
- * Blocks are refcounted so a future prefix-sharing scheduler can map
- * one block into several tables; today every table holds its blocks
- * at refcount 1. Double-free and leak bugs are loud: over-release
- * panics, and audit() reports the blocks still held.
+ * Blocks are refcounted: with prefix sharing the scheduler's prefix
+ * tree (core::PrefixTree) maps one block into several tables and
+ * holds a cache ref of its own, so a shared block lives until its
+ * last holder releases it. Double-free and leak bugs are loud:
+ * over-release panics, and leakedBlocks()/leakedRefs() report what
+ * is still held.
  *
  * An unbounded pool (budget_bytes == 0) never refuses an allocation
  * and exists so bounded-path plumbing can run with capacity effects

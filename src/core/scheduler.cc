@@ -104,8 +104,8 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                 infeasible[i] = 1;
 
     // Shared device, same construction order as the single-request
-    // engine (and PR 2's BatchEngine) so a decode-only FCFS run
-    // replays its exact event sequence.
+    // engine so a decode-only FCFS run replays its exact event
+    // sequence.
     EventQueue eq;
     npu::DramModel dram(eq, config_.npu);
     flash::FlashSystem fs(eq, config_.flash, config_.tile_window,
@@ -131,8 +131,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     flash::ClientId swap_client = 0;
     std::function<void(const flash::Completion &)> onSwapCompletion;
     if (opt.kv_swap) {
-        fs.enableKvSwap(quant.weightBytes(model_.totalParams()),
-                        opt.kv_swap_flash_bytes);
+        fs.enableKvSwap(quant.weightBytes(model_.totalParams()));
         swap_client =
             fs.connect([&](const flash::Completion &c) {
                 onSwapCompletion(c);
@@ -193,23 +192,13 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         r.stats.decode_tokens = r.spec.decode_tokens;
         r.stats.arrival = r.spec.arrival;
     }
+    // Run-wide counters accumulate straight into the result.
+    ServeStats out;
+    out.max_batch = opt.max_batch;
     std::size_t next_admit = 0;
     std::uint32_t active = 0;
-    std::uint64_t completed = 0;
-    std::uint32_t n_admitted = 0;
-    std::uint32_t n_shed = 0;
-    std::uint32_t n_timeouts = 0;
-    std::uint32_t n_cancelled = 0;
-    std::uint32_t n_rejected = 0;
-    Tick horizon = 0; ///< last request-exit tick (see sim_makespan)
     bool wake_pending = false;
     SampleSet tbt_ms;
-    std::uint32_t total_preemptions = 0;
-    std::uint64_t total_recompute_tokens = 0;
-    std::uint32_t total_partial_evictions = 0;
-    std::uint64_t total_swap_out_blocks = 0;
-    std::uint64_t total_swap_in_blocks = 0;
-    std::uint64_t total_swap_refused_blocks = 0;
 
     // In-flight swap-in ops on the scheduler's flash client: op id →
     // the owning run and the payload still to land.
@@ -264,23 +253,43 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
             r.blocked_pre_ft += span;
     };
 
-    const auto countOutcome = [&](RequestOutcome why) {
-        switch (why) {
-        case RequestOutcome::TimedOut: ++n_timeouts; break;
-        case RequestOutcome::Cancelled: ++n_cancelled; break;
-        case RequestOutcome::ShedSlo: ++n_shed; break;
-        case RequestOutcome::RejectedInfeasible: ++n_rejected; break;
-        case RequestOutcome::Completed: break;
-        }
+    const auto exitedCount = [&] {
+        return std::size_t(out.completed) + out.shed_slo + out.timeouts +
+               out.cancelled + out.rejected_infeasible;
     };
 
-    // The retention scrubber self-reschedules forever; once the last
-    // request has left the system (by any outcome) it must stop so
-    // the event queue can drain. Call after every exit accounting.
-    const auto noteRequestExit = [&] {
-        if (completed + n_shed + n_timeouts + n_cancelled + n_rejected ==
-            runs.size())
+    // Every way out of the system — completion, teardown, infeasible
+    // rejection, SLO shedding — ends here: stamp the outcome, extend
+    // the makespan to this exit and count it. The retention scrubber
+    // self-reschedules forever, so once the last request has left it
+    // must stop for the event queue to drain.
+    const auto exitRequest = [&](ReqRun &r, RequestOutcome why) {
+        r.finished = true;
+        r.stats.outcome = why;
+        r.stats.finish_tick = eq.now();
+        out.sim_makespan = std::max(out.sim_makespan, eq.now());
+        switch (why) {
+        case RequestOutcome::Completed: ++out.completed; break;
+        case RequestOutcome::TimedOut: ++out.timeouts; break;
+        case RequestOutcome::Cancelled: ++out.cancelled; break;
+        case RequestOutcome::ShedSlo: ++out.shed_slo; break;
+        case RequestOutcome::RejectedInfeasible:
+            ++out.rejected_infeasible;
+            break;
+        }
+        if (exitedCount() == runs.size())
             fs.stopRefresh();
+    };
+
+    // Prompt tokens prefix sharing may map from (and publish to) the
+    // tree for @p s: a tagged, context-free prompt shares whole
+    // blocks strictly inside it, so its last chunk still runs and
+    // emits the first token. 0 when sharing does not apply.
+    const auto shareableTokens = [&](const ServeRequest &s) {
+        if (!opt.kv_prefix_sharing || s.prefix_id == 0 ||
+            s.context != 0 || s.prompt < 2)
+            return std::uint32_t(0);
+        return std::min(s.prefix_tokens, s.prompt - 1);
     };
 
     // Projected TTFT for an arriving request: every admitted run's
@@ -461,7 +470,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
             }
             if (freeable >= need && k > 0) {
                 keep = k;
-                ++total_partial_evictions;
+                ++out.partial_evictions;
             }
         }
 
@@ -488,9 +497,9 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                 if (fs.kvSwapOut(full, sim)) {
                     swapped = true;
                     r.swapped_out_tokens += tok;
-                    ++total_swap_out_blocks;
+                    ++out.swap_out_blocks;
                 } else {
-                    ++total_swap_refused_blocks;
+                    ++out.swap_refused_blocks;
                 }
             }
             r.swap_mask[k] = swapped ? 1 : 0;
@@ -500,7 +509,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         }
         r.kv.blocks.resize(keep);
         ++r.stats.preemptions;
-        ++total_preemptions;
+        ++out.preemptions;
         CAMLLM_ASSERT(active > 0);
         --active;
         // Budget the survivors for the new concurrency BEFORE any
@@ -521,12 +530,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         ReqRun &r = runs[i];
         if (r.finished)
             return; // completed (or already torn down) first
-        r.finished = true;
-        r.stats.outcome = why;
-        r.stats.finish_tick = eq.now();
-        horizon = std::max(horizon, eq.now());
-        countOutcome(why);
-        noteRequestExit();
+        exitRequest(r, why);
         if (!r.admitted) {
             // Still queued: holds no blocks and no stream. It may be
             // the head of the admission queue — re-run admission so
@@ -579,11 +583,8 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         // to the tree (cache ref on top of the table's — the block
         // now survives this request's eviction or retirement).
         // Blocks the tree already has insert as no-ops.
-        if (opt.kv_prefix_sharing && r.spec.prefix_id != 0 &&
-            r.spec.context == 0 && r.spec.prompt >= 2) {
+        if (const std::uint32_t shareable = shareableTokens(r.spec)) {
             const std::uint32_t B = pool.blockTokens();
-            const std::uint32_t shareable =
-                std::min(r.spec.prefix_tokens, r.spec.prompt - 1);
             const std::size_t done_blocks = std::min<std::size_t>(
                 r.prefill_done / B, shareable / B);
             for (std::size_t k = 0; k < done_blocks; ++k)
@@ -608,7 +609,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         r.rebuild_from += r.cur_chunk;
         CAMLLM_ASSERT(r.recompute_pending >= r.cur_chunk);
         r.recompute_pending -= r.cur_chunk;
-        total_recompute_tokens += r.cur_chunk;
+        out.recompute_tokens += r.cur_chunk;
         r.cur_chunk = 0;
         startNext(i); // next rebuild range, or where it left off
     };
@@ -619,7 +620,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         r.stats.total_token_time += s.token_time;
         if (r.tokens_done == 0 && r.spec.prompt == 0) {
             // Decode-only request: its first decode step emits the
-            // first token (BatchEngine-compatible first_token).
+            // first token.
             r.stats.first_token = s;
             r.stats.first_token_tick = eq.now();
             r.first_emitted = true;
@@ -635,13 +636,8 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
             startNext(i); // continuous: no batch barrier
             return;
         }
-        r.finished = true;
         r.preempt_pending = false; // retiring beats a pending evict
-        r.stats.outcome = RequestOutcome::Completed;
-        r.stats.finish_tick = eq.now();
-        horizon = std::max(horizon, eq.now());
-        ++completed;
-        noteRequestExit();
+        exitRequest(r, RequestOutcome::Completed);
         CAMLLM_ASSERT(active > 0);
         --active;
         pool.release(r.kv);
@@ -694,13 +690,12 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
 
     startNext = [&](std::size_t i) {
         ReqRun &r = runs[i];
-        // A killed run's deferred start event (stagger/arrival) still
-        // fires — the EventQueue cannot cancel — and must be a no-op.
+        // A torn-down run never restarts.
         if (r.finished)
             return;
         // A pending eviction lands at the next unit boundary — which
-        // for a victim that never issued its first unit (deferred
-        // start via stagger or arrival) is right here.
+        // for a victim admitted in the same wave that has not issued
+        // its first unit yet is right here.
         if (r.preempt_pending) {
             evictRun(i);
             return;
@@ -790,7 +785,6 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         });
     };
 
-    bool initial_wave = true;
     admit = [&] {
         std::vector<std::size_t> started;
         while (active < opt.max_batch && next_admit < runs.size()) {
@@ -826,13 +820,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                          finalKvTokens(spec)),
                      opt.kv_block_tokens,
                      (unsigned long long)pool.totalBlocks());
-                head.finished = true;
-                head.stats.outcome =
-                    RequestOutcome::RejectedInfeasible;
-                head.stats.finish_tick = eq.now();
-                horizon = std::max(horizon, eq.now());
-                ++n_rejected;
-                noteRequestExit();
+                exitRequest(head, RequestOutcome::RejectedInfeasible);
                 ++next_admit;
                 continue;
             }
@@ -850,12 +838,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                         warn("shedding request %zu: projected TTFT "
                              "%.0f ms exceeds SLO %.0f ms",
                              next_admit, projected, opt.slo_ttft_ms);
-                        head.finished = true;
-                        head.stats.outcome = RequestOutcome::ShedSlo;
-                        head.stats.finish_tick = eq.now();
-                        horizon = std::max(horizon, eq.now());
-                        ++n_shed;
-                        noteRequestExit();
+                        exitRequest(head, RequestOutcome::ShedSlo);
                         ++next_admit;
                         continue;
                     }
@@ -876,7 +859,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                 break;
             const std::size_t i = next_admit++;
             ReqRun &r = runs[i];
-            ++n_admitted;
+            ++out.admitted;
             DecodeStream::Env env = base;
             env.cfg = &r.cfg;
             r.stream = std::make_unique<DecodeStream>(env);
@@ -886,11 +869,8 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
             // its own ref) and skip their prefill. Only whole blocks
             // strictly inside the prompt qualify, so the last chunk
             // still runs and emits the first token.
-            if (opt.kv_prefix_sharing && spec.prefix_id != 0 &&
-                spec.context == 0 && spec.prompt >= 2) {
+            if (const std::uint32_t shareable = shareableTokens(spec)) {
                 const std::uint32_t B = pool.blockTokens();
-                const std::uint32_t shareable =
-                    std::min(spec.prefix_tokens, spec.prompt - 1);
                 const std::size_t hit = tree.match(
                     spec.prefix_id, shareable / B, r.kv.blocks);
                 if (hit > 0) {
@@ -908,22 +888,10 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         // stream issues work, so no first token prefetches with more
         // than its share of the staging buffer.
         rebudget();
+        // Admitted requests have arrived: each starts on this tick.
         for (std::size_t i : started) {
-            ReqRun &r = runs[i];
-            // Stagger only the initial wave (i * stagger ticks); the
-            // slot is held from admission, the stream just waits for
-            // its start slot. A delay of zero starts synchronously,
-            // which keeps the decode-only event sequence identical to
-            // PR 2's BatchEngine.
-            Tick start = initial_wave ? Tick(i) * opt.admission_stagger
-                                      : eq.now();
-            if (start < r.spec.arrival)
-                start = r.spec.arrival;
-            r.stats.admit_tick = start;
-            if (start == eq.now())
-                startNext(i);
-            else
-                eq.schedule(start, [&, i] { startNext(i); });
+            runs[i].stats.admit_tick = eq.now();
+            startNext(i);
         }
     };
 
@@ -1030,7 +998,7 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
         r.rebuild_from += done.tokens;
         CAMLLM_ASSERT(r.rebuild_from <= r.rebuild_target);
         r.stats.swapped_in_blocks += done.blocks;
-        total_swap_in_blocks += done.blocks;
+        out.swap_in_blocks += done.blocks;
         const Tick span = eq.now() - done.start;
         r.stats.kv_blocked_time += span;
         if (!r.first_emitted)
@@ -1040,41 +1008,28 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
 
     // Deadlines and user cancellations are pre-scheduled (the trace
     // is known): a fired event on a finished run is a no-op. With
-    // neither armed and no faults, nothing extra enters the queue and
-    // the event sequence is bit-identical to the pre-resilience
-    // scheduler; when extras ARE armed, trailing no-op events would
-    // inflate eq.now(), so the makespan falls back to the tracked
-    // last-request-exit horizon.
-    // kv_swap also dirties the timeline: fire-and-forget swap-out
-    // write grants drain at Low priority after the last request exit
-    // and would inflate eq.now().
-    bool timeline_clean = !faults.any() &&
-                          opt.request_deadline == 0 && !opt.kv_swap;
+    // neither armed nothing extra enters the queue and the event
+    // sequence is bit-identical to the pre-resilience scheduler.
     for (std::size_t i = 0; i < requests.size(); ++i) {
         if (opt.request_deadline > 0)
             eq.schedule(requests[i].arrival + opt.request_deadline,
                         [&, i] {
                             killRun(i, RequestOutcome::TimedOut);
                         });
-        if (requests[i].cancel_at > 0) {
-            timeline_clean = false;
+        if (requests[i].cancel_at > 0)
             eq.schedule(requests[i].cancel_at, [&, i] {
                 killRun(i, RequestOutcome::Cancelled);
             });
-        }
     }
 
     admit();
-    initial_wave = false;
     eq.run();
-    CAMLLM_ASSERT(completed + n_shed + n_timeouts + n_cancelled +
-                          n_rejected ==
-                      runs.size(),
-                  "request accounting out of balance: %llu completed "
+    CAMLLM_ASSERT(exitedCount() == runs.size(),
+                  "request accounting out of balance: %u completed "
                   "+ %u shed + %u timed out + %u cancelled + %u "
                   "rejected != %zu requests",
-                  (unsigned long long)completed, n_shed, n_timeouts,
-                  n_cancelled, n_rejected, runs.size());
+                  out.completed, out.shed_slo, out.timeouts,
+                  out.cancelled, out.rejected_infeasible, runs.size());
     // Drain audit: every retire released its whole block table, the
     // prefix cache returns its refs, every outstanding ref is gone
     // (leakedBlocks alone would miss a leaked extra ref on a shared
@@ -1095,9 +1050,6 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
                       "%llu flash KV pages still live at drain",
                       (unsigned long long)fs.kvSwapLivePages());
 
-    ServeStats out;
-    out.max_batch = opt.max_batch;
-    out.sim_makespan = timeline_clean ? eq.now() : horizon;
     out.sim_events = eq.executed();
     out.requests.reserve(runs.size());
 
@@ -1201,12 +1153,6 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     out.recompute_channel_bytes =
         fs.deliveredBytes(flash::WorkClass::Recompute);
 
-    out.preemptions = total_preemptions;
-    out.recompute_tokens = total_recompute_tokens;
-    out.partial_evictions = total_partial_evictions;
-    out.swap_out_blocks = total_swap_out_blocks;
-    out.swap_in_blocks = total_swap_in_blocks;
-    out.swap_refused_blocks = total_swap_refused_blocks;
     out.kv_swap_channel_bytes =
         opt.kv_swap ? fs.kvSwapChannelBytes() : 0;
     out.prefix_hit_blocks = tree.hitBlocks();
@@ -1219,12 +1165,6 @@ Scheduler::serve(const std::vector<ServeRequest> &requests,
     out.kv_block_allocs = pool.allocCount();
     out.kv_block_frees = pool.freeCount();
 
-    out.admitted = n_admitted;
-    out.completed = std::uint32_t(completed);
-    out.shed_slo = n_shed;
-    out.timeouts = n_timeouts;
-    out.cancelled = n_cancelled;
-    out.rejected_infeasible = n_rejected;
     out.goodput_tokens_per_s =
         real_makespan > 0.0
             ? double(goodput_tokens) * double(kSec) / real_makespan

@@ -16,8 +16,9 @@
  * Policies:
  *  - DecodeFirstFcfs: FCFS admission; an admitted prompt prefills in
  *    a single whole-prompt chunk. With free NPU arbitration and
- *    decode-only requests this reproduces the PR 2 BatchEngine event
- *    sequence bit-identically (enforced by tests).
+ *    decode-only requests this replays the golden stats recorded
+ *    from the first continuous-batching engine bit-identically
+ *    (enforced by tests).
  *  - ChunkedInterleave: Sarathi-style token budget; prompts prefill
  *    in chunks of at most `prefill_chunk` tokens, so in-flight decode
  *    tokens interleave with prefill on the shared device instead of
@@ -116,10 +117,6 @@ struct SchedOptions
      *  overlapping it for free (core::NpuArbiter). */
     bool npu_contention = false;
 
-    /** Initial-wave stagger: slot i of the first admission wave
-     *  starts i * stagger ticks in (PR 2 BatchEngine semantics). */
-    Tick admission_stagger = 0;
-
     /**
      * DRAM bytes reserved for the KV cache (full model depth); 0 =
      * unbounded. An unbounded pool disables every capacity effect —
@@ -153,14 +150,11 @@ struct SchedOptions
      * full-depth bytes twice (out now, back on resume) across the
      * alive channel buses at their current occupancy. Swapped blocks
      * program a reserved flash KV region (wear-counted) and stream
-     * back under WorkClass::KvSwap on resume; a full region falls
-     * back to recompute. Requires a bounded pool.
+     * back under WorkClass::KvSwap on resume; the region is all the
+     * free flash left after the resident weights, and a full region
+     * falls back to recompute. Requires a bounded pool.
      */
     bool kv_swap = false;
-
-    /** Flash bytes reserved for swapped KV (kv_swap only; 0 = all
-     *  the free flash left after the resident weights). */
-    std::uint64_t kv_swap_flash_bytes = 0;
 
     /**
      * Partial (vLLM-style) eviction: release only the victim's
@@ -230,15 +224,16 @@ struct ServeRequestStats
     std::uint32_t decode_tokens = 0;
 
     Tick arrival = 0;          ///< sim clock
-    Tick admit_tick = 0;       ///< slot start (stagger included)
+    Tick admit_tick = 0;       ///< slot start (sim clock)
     Tick first_token_tick = 0; ///< first token emitted (sim clock)
     Tick finish_tick = 0;      ///< last decode step done (sim clock)
 
     /**
      * Stats of the step that emitted the first token: the last
-     * prefill chunk when prompt > 0, else the first decode step
-     * (bit-compatible with RequestStats::first_token for decode-only
-     * requests).
+     * prefill chunk when prompt > 0, else the first decode step.
+     * With batch > 1 the device-wide fields (channel/DRAM bytes,
+     * utilization) cover all streams over the step's span; the
+     * weight-byte and flops fields are this request's own.
      */
     TokenStats first_token;
 
@@ -301,19 +296,34 @@ struct ServeStats
      *  prefilled prompt. */
     std::uint64_t total_tokens = 0;
 
+    /** Last request-exit tick (sim clock): trailing no-op events
+     *  (deadline checks, abandoned device drains, late swap-out
+     *  writes) never stretch it. */
     Tick sim_makespan = 0;
+
+    /** Mean extrapolated/simulated service-time ratio
+     *  (~depth/sample). */
     double extrapolation_factor = 1.0;
 
     /** Kernel events executed by the run's event queue — the
      *  denominator for events/sec reporting at fleet scale. */
     std::uint64_t sim_events = 0;
 
-    /** Same definitions as BatchStats (PR 2): steady-state and
-     *  whole-finite-run decode throughput. */
+    /** Steady-state throughput: effective concurrency
+     *  (min(max_batch, requests)) times the mean per-request decode
+     *  rate, each rate measured under contention and extrapolated to
+     *  model depth — the "tokens/s at batch N" a serving system
+     *  quotes. */
     double aggregate_tokens_per_s = 0.0;
+
+    /** total_tokens over the depth-extrapolated makespan (includes
+     *  ramp-up and drain tails). */
     double finite_run_tokens_per_s = 0.0;
 
+    /** Mean flash-channel utilization over the makespan. */
     double avg_channel_util = 0.0;
+
+    /** Jain's fairness index over per-request decode rates. */
     double fairness_jain = 1.0;
 
     LatencySummary ttft; ///< over requests

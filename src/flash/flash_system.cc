@@ -322,8 +322,7 @@ FlashSystem::onRefreshCompletion(const Completion &c)
 }
 
 void
-FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes,
-                          std::uint64_t reserve_bytes)
+FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes)
 {
     CAMLLM_ASSERT(!kv_swap_enabled_, "KV swap armed twice");
     if (!placement_) {
@@ -339,12 +338,7 @@ FlashSystem::enableKvSwap(std::uint64_t model_weight_bytes,
             placement_->seedStriped(pages);
         }
     }
-    const std::uint64_t page = params_.geometry.page_bytes;
-    std::uint64_t pages = reserve_bytes == 0
-                              ? placement_->freePages()
-                              : (reserve_bytes + page - 1) / page;
-    pages = std::min(pages, placement_->freePages());
-    placement_->reserveKvRegion(pages);
+    placement_->reserveKvRegion(placement_->freePages());
     kv_swap_enabled_ = true;
 }
 

@@ -165,16 +165,15 @@ class FlashSystem
 
     // --- KV swap ---------------------------------------------------------
     /**
-     * Arm KV swap-to-flash: reserve @p reserve_bytes of free flash
-     * capacity (0 = everything left) as the KV region. When no fault
+     * Arm KV swap-to-flash: reserve all the free flash capacity left
+     * after the resident weights as the KV region. When no fault
      * spec built a placement map, one is created here and seeded with
      * the resident weight image (@p model_weight_bytes, so the region
      * honestly competes with the weights for capacity). Call once,
      * before the simulation starts; never armed means every swap path
      * below is dead code and the event sequence is untouched.
      */
-    void enableKvSwap(std::uint64_t model_weight_bytes,
-                      std::uint64_t reserve_bytes);
+    void enableKvSwap(std::uint64_t model_weight_bytes);
 
     bool kvSwapEnabled() const { return kv_swap_enabled_; }
 

@@ -18,6 +18,7 @@
 #include "llm/model_config.h"
 #include "llm/opgraph.h"
 #include "llm/quant.h"
+#include "serving_golden.h"
 
 namespace camllm::core {
 namespace {
@@ -272,29 +273,6 @@ expectSameServe(const ServeStats &a, const ServeStats &b)
     }
 }
 
-// Golden per-request stats recorded from the PR 2 BatchEngine (see
-// scheduler_test.cc): the contract the unbounded pool must honor.
-struct Golden
-{
-    Tick admit, finish, total;
-};
-constexpr Golden kGolden[4] = {
-    {0, 161723879, 1111725799},
-    {0, 85240587, 560241547},
-    {85240587, 255464719, 1120226052},
-    {161723879, 246867591, 560144672},
-};
-constexpr Tick kGoldenMakespan = 255464719;
-
-std::vector<ServeRequest>
-goldenDecodeRequests()
-{
-    return {{0, 256, 2, 0},
-            {0, 512, 1, 0},
-            {0, 1024, 2, 0},
-            {0, 384, 1, 0}};
-}
-
 std::vector<ServeRequest>
 mixedRequests()
 {
@@ -316,7 +294,7 @@ TEST(KvServing, UnboundedGiantBlockReproducesGoldenStats)
     opt.kv_budget_bytes = 0;      // unbounded
     opt.kv_block_tokens = 1 << 20; // one giant block per request
     const ServeStats ss =
-        Scheduler(cfg, model).serve(goldenDecodeRequests(), opt);
+        Scheduler(cfg, model).serve(goldenRequests(), opt);
 
     ASSERT_EQ(ss.requests.size(), 4u);
     EXPECT_EQ(ss.sim_makespan, kGoldenMakespan);
@@ -487,9 +465,9 @@ TEST(KvServing, ShrinkingBudgetMonotonicity)
                   stats.back().kv_block_frees);
     }
     for (std::size_t i = 1; i < stats.size(); ++i) {
-        // Stalls decorrelate the streams' layer phases, which can
-        // nudge a run a fraction of a percent either way (the same
-        // resonance effect admission_stagger exists for), so the
+        // Stalls decorrelate the streams' layer phases (identical
+        // streams admitted together resonate on the DRAM), which can
+        // nudge a run a fraction of a percent either way, so the
         // non-decrease check carries the repo-standard 2% headroom.
         EXPECT_GE(stats[i].ttft.p95_ms * 1.02,
                   stats[i - 1].ttft.p95_ms)

@@ -206,7 +206,7 @@ digest(const ServeStats &s)
  */
 constexpr std::uint64_t kAdmissionDeadlockSeed = 107;
 
-// Digests of seeds 1..160, recorded before the BatchEngine facade,
+// Digests of seeds 1..160, recorded before the batch-engine facade,
 // the sweep memo and the scheduler knobs only they used were removed.
 constexpr std::uint64_t kGoldenDigests[] = {
     0xcd180a81691b2846, 0xd2588d39c06ce412, 0x49e0e2b96524a119,
