@@ -1,45 +1,30 @@
 /**
  * @file
- * Tests for the continuous-batching decode engine: batch-of-one
- * equivalence with the single-stream engine (bit-exact), determinism
- * across sweep-thread settings, admission/retire behavior beyond the
- * batch limit, and throughput/fairness sanity under concurrency.
+ * Tests for continuous-batching decode through Scheduler::serve():
+ * batch-of-one equivalence with CambriconEngine::decodeToken()
+ * (bit-exact, across quant modes and configs), determinism across
+ * sweep-thread settings, admission waves beyond the batch limit,
+ * per-token KV growth, and throughput/fairness under concurrency.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/batch_engine.h"
+#include "core/arrivals.h"
 #include "core/engine.h"
 #include "core/presets.h"
+#include "core/scheduler.h"
 #include "core/sweep.h"
 #include "llm/model_config.h"
+#include "serving_golden.h"
 
 namespace camllm::core {
 namespace {
 
-void
-expectSameStats(const TokenStats &a, const TokenStats &b)
-{
-    EXPECT_EQ(a.token_time, b.token_time);
-    EXPECT_DOUBLE_EQ(a.tokens_per_s, b.tokens_per_s);
-    EXPECT_DOUBLE_EQ(a.avg_channel_util, b.avg_channel_util);
-    EXPECT_EQ(a.channel_bytes_high, b.channel_bytes_high);
-    EXPECT_EQ(a.channel_bytes_low, b.channel_bytes_low);
-    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-    EXPECT_EQ(a.array_read_bytes, b.array_read_bytes);
-    EXPECT_EQ(a.pages_computed, b.pages_computed);
-    EXPECT_EQ(a.pages_read, b.pages_read);
-    EXPECT_DOUBLE_EQ(a.npu_flops, b.npu_flops);
-    EXPECT_DOUBLE_EQ(a.flash_flops, b.flash_flops);
-    EXPECT_EQ(a.weight_bytes_flash, b.weight_bytes_flash);
-    EXPECT_EQ(a.weight_bytes_npu, b.weight_bytes_npu);
-    EXPECT_EQ(a.extrapolated, b.extrapolated);
-    EXPECT_EQ(a.simulated_layers, b.simulated_layers);
-}
-
-TEST(BatchEngine, BatchOfOneMatchesSingleStreamBitExactly)
+// One decode-only request at batch one is the single-stream engine:
+// same device construction order, same graph, same event sequence.
+TEST(Scheduler, BatchOfOneMatchesSingleStreamBitExactly)
 {
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
@@ -47,19 +32,20 @@ TEST(BatchEngine, BatchOfOneMatchesSingleStreamBitExactly)
     const TokenStats single =
         CambriconEngine(cfg, model).decodeToken();
 
-    BatchEngine be(cfg, model);
-    const BatchStats bs =
-        be.run({RequestSpec{cfg.seq_len, 1}}, /*max_batch=*/1);
+    SchedOptions opt;
+    opt.max_batch = 1;
+    const ServeStats ss = Scheduler(cfg, model).serve(
+        {ServeRequest{0, cfg.seq_len, 1, 0}}, opt);
 
-    ASSERT_EQ(bs.requests.size(), 1u);
-    expectSameStats(single, bs.requests[0].first_token);
-    EXPECT_EQ(bs.requests[0].total_token_time, single.token_time);
-    EXPECT_DOUBLE_EQ(bs.requests[0].tokens_per_s, single.tokens_per_s);
-    EXPECT_DOUBLE_EQ(bs.aggregate_tokens_per_s, single.tokens_per_s);
-    EXPECT_DOUBLE_EQ(bs.fairness_jain, 1.0);
+    ASSERT_EQ(ss.requests.size(), 1u);
+    expectSameStats(single, ss.requests[0].first_token);
+    EXPECT_EQ(ss.requests[0].total_token_time, single.token_time);
+    EXPECT_DOUBLE_EQ(ss.requests[0].tokens_per_s, single.tokens_per_s);
+    EXPECT_DOUBLE_EQ(ss.aggregate_tokens_per_s, single.tokens_per_s);
+    EXPECT_DOUBLE_EQ(ss.fairness_jain, 1.0);
 }
 
-TEST(BatchEngine, BatchOfOneMatchesAcrossQuantAndConfig)
+TEST(Scheduler, BatchOfOneMatchesAcrossQuantAndConfig)
 {
     const llm::ModelConfig model = llm::opt6_7b();
     for (auto quant : {llm::QuantMode::W8A8, llm::QuantMode::W4A16}) {
@@ -68,28 +54,29 @@ TEST(BatchEngine, BatchOfOneMatchesAcrossQuantAndConfig)
         cfg.seq_len = 384;
         const TokenStats single =
             CambriconEngine(cfg, model).decodeToken();
-        const BatchStats bs = BatchEngine(cfg, model).run(
-            {RequestSpec{cfg.seq_len, 1}}, 1);
-        expectSameStats(single, bs.requests[0].first_token);
+        SchedOptions opt;
+        opt.max_batch = 1;
+        const ServeStats ss = Scheduler(cfg, model).serve(
+            {ServeRequest{0, cfg.seq_len, 1, 0}}, opt);
+        expectSameStats(single, ss.requests[0].first_token);
     }
 }
 
-TEST(BatchEngine, DeterministicAcrossSweepThreadSettings)
+// The serving bench evaluates batch points inside ParallelSweep;
+// per-request stats must be identical no matter how many workers the
+// pool runs (each point's simulation is self-contained).
+TEST(Scheduler, DecodeOnlyDeterministicAcrossSweepThreads)
 {
-    // The serving bench evaluates batch points inside ParallelSweep;
-    // per-request stats must be identical no matter how many workers
-    // the pool runs (each point's simulation is self-contained).
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
-    const std::vector<RequestSpec> reqs = {
-        {256, 2}, {512, 1}, {1024, 2}, {384, 1}};
-
     const auto runPoint = [&](std::size_t) {
-        return BatchEngine(cfg, model).run(reqs, 2);
+        SchedOptions opt;
+        opt.max_batch = 2;
+        return Scheduler(cfg, model).serve(goldenRequests(), opt);
     };
     ParallelSweep one(1), four(4);
-    const auto a = one.map<BatchStats>(4, runPoint);
-    const auto b = four.map<BatchStats>(4, runPoint);
+    const auto a = one.map<ServeStats>(4, runPoint);
+    const auto b = four.map<ServeStats>(4, runPoint);
 
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t p = 0; p < a.size(); ++p) {
@@ -110,58 +97,67 @@ TEST(BatchEngine, DeterministicAcrossSweepThreadSettings)
     }
 }
 
-TEST(BatchEngine, AdmitsBeyondBatchLimitAndRetiresInWaves)
+TEST(Scheduler, AdmitsBeyondBatchLimitAndRetiresInWaves)
 {
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
-    const std::vector<RequestSpec> reqs = {
-        {256, 1}, {512, 1}, {768, 1}, {1024, 1}, {320, 1}};
-
-    const BatchStats bs = BatchEngine(cfg, model).run(reqs, 2);
-    ASSERT_EQ(bs.requests.size(), 5u);
-    EXPECT_EQ(bs.total_tokens, 5u);
+    const std::vector<ServeRequest> reqs = {{0, 256, 1, 0},
+                                            {0, 512, 1, 0},
+                                            {0, 768, 1, 0},
+                                            {0, 1024, 1, 0},
+                                            {0, 320, 1, 0}};
+    SchedOptions opt;
+    opt.max_batch = 2;
+    const ServeStats ss = Scheduler(cfg, model).serve(reqs, opt);
+    ASSERT_EQ(ss.requests.size(), 5u);
+    EXPECT_EQ(ss.total_tokens, 5u);
 
     // First two admitted at t = 0; the rest only after a retirement.
-    EXPECT_EQ(bs.requests[0].admit_tick, 0u);
-    EXPECT_EQ(bs.requests[1].admit_tick, 0u);
+    EXPECT_EQ(ss.requests[0].admit_tick, 0u);
+    EXPECT_EQ(ss.requests[1].admit_tick, 0u);
     for (std::size_t i = 2; i < 5; ++i)
-        EXPECT_GT(bs.requests[i].admit_tick, 0u);
-    for (const RequestStats &r : bs.requests) {
+        EXPECT_GT(ss.requests[i].admit_tick, 0u);
+    for (const ServeRequestStats &r : ss.requests) {
         EXPECT_GT(r.finish_tick, r.admit_tick);
-        EXPECT_LE(r.finish_tick, bs.sim_makespan);
+        EXPECT_LE(r.finish_tick, ss.sim_makespan);
         EXPECT_GT(r.tokens_per_s, 0.0);
     }
 }
 
-TEST(BatchEngine, MultiTokenRequestGrowsItsKvStream)
+TEST(Scheduler, MultiTokenRequestGrowsItsKvStream)
 {
     CamConfig cfg = presetS();
     cfg.seq_len = 256;
     const llm::ModelConfig model = llm::opt6_7b();
 
-    const BatchStats bs =
-        BatchEngine(cfg, model).run({RequestSpec{256, 3}}, 1);
-    ASSERT_EQ(bs.requests.size(), 1u);
-    EXPECT_EQ(bs.requests[0].decode_tokens, 3u);
-    EXPECT_EQ(bs.total_tokens, 3u);
+    SchedOptions opt;
+    opt.max_batch = 1;
+    const ServeStats ss = Scheduler(cfg, model).serve(
+        {ServeRequest{0, 256, 3, 0}}, opt);
+    ASSERT_EQ(ss.requests.size(), 1u);
+    EXPECT_EQ(ss.requests[0].decode_tokens, 3u);
+    EXPECT_EQ(ss.total_tokens, 3u);
 
     // First token equals a plain decode at the same context; the mean
     // over three tokens is higher because the KV stream grows.
     const TokenStats single =
         CambriconEngine(cfg, model).decodeToken();
-    expectSameStats(single, bs.requests[0].first_token);
-    EXPECT_GE(bs.requests[0].mean_token_time, single.token_time);
+    expectSameStats(single, ss.requests[0].first_token);
+    EXPECT_GE(ss.requests[0].mean_token_time, single.token_time);
 }
 
-TEST(BatchEngine, ConcurrencyRaisesAggregateThroughput)
+TEST(Scheduler, ConcurrencyRaisesAggregateThroughput)
 {
     const CamConfig cfg = presetS();
     const llm::ModelConfig model = llm::opt6_7b();
-    const std::vector<RequestSpec> reqs(4, RequestSpec{512, 1});
+    const std::vector<ServeRequest> reqs(4, ServeRequest{0, 512, 1, 0});
 
-    BatchEngine be(cfg, model);
-    const BatchStats serial = be.run(reqs, 1);
-    const BatchStats batched = be.run(reqs, 4);
+    const Scheduler sched(cfg, model);
+    SchedOptions opt;
+    opt.max_batch = 1;
+    const ServeStats serial = sched.serve(reqs, opt);
+    opt.max_batch = 4;
+    const ServeStats batched = sched.serve(reqs, opt);
 
     // Four streams fill each other's channel bubbles; at minimum the
     // shared device must not get slower than strictly serial service.
