@@ -72,6 +72,50 @@ BM_FlashChannelRcThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_FlashChannelRcThroughput);
 
+/**
+ * One default-geometry channel serving a fixed interleaved mix of
+ * read-compute tiles (every core engaged) and sliced full-page reads:
+ * the shape of a decode step's flash traffic, so its events/s tracks
+ * the host cost of the whole flash hot path (bus grants, die
+ * pipelines, completion routing) on top of the bare event kernel.
+ * @return events executed.
+ */
+std::uint64_t
+runFlashChannelMix()
+{
+    constexpr int kTiles = 2000;
+    constexpr int kReadsPerTile = 2;
+    flash::FlashParams p;
+    p.geometry.channels = 1;
+    EventQueue eq;
+    flash::CompletionRouter router(eq);
+    std::uint64_t done = 0;
+    router.connect([&done](const flash::Completion &) { ++done; });
+    flash::ChannelEngine ce(eq, p, router);
+    flash::RcTileWork tile;
+    tile.op_id = 1;
+    tile.cores_used = p.geometry.diesPerChannel();
+    tile.input_bytes = 256;
+    tile.out_bytes_per_core = 64;
+    tile.compute_time = p.timing.t_read;
+    flash::ReadPageJob read;
+    read.op_id = 2;
+    read.bytes = p.geometry.page_bytes;
+    read.sliced = true;
+    for (int i = 0; i < kTiles; ++i) {
+        ce.submitTile(tile);
+        for (int r = 0; r < kReadsPerTile; ++r)
+            ce.submitRead(read);
+    }
+    eq.run();
+    const std::uint64_t want =
+        std::uint64_t(kTiles) * (tile.cores_used + kReadsPerTile);
+    if (done != want)
+        std::fprintf(stderr, "flash channel mix: %llu of %llu done\n",
+                     (unsigned long long)done, (unsigned long long)want);
+    return eq.executed();
+}
+
 void
 BM_TilingPlanner(benchmark::State &state)
 {
@@ -274,9 +318,9 @@ bestSeconds(int reps, Fn &&fn)
 }
 
 /**
- * Hand-timed hot-path summaries for BENCH_micro.json: the same three
- * paths this PR family optimizes (event kernel, GeMV, one engine
- * decode), so the perf trajectory is diffable across commits.
+ * Hand-timed hot-path summaries for BENCH_micro.json: the paths the
+ * simulator's speed rests on (event kernel, flash channel, GeMV, one
+ * engine decode), so the perf trajectory is diffable across commits.
  * wall_clock_s covers the whole process from @p wall0: the
  * google-benchmark phase (when not filtered out) plus every summary
  * below.
@@ -300,6 +344,13 @@ emitJson(std::chrono::steady_clock::time_point wall0)
         });
         j.add("event_queue.events", std::uint64_t(kEvents));
         j.add("event_queue.events_per_s", double(kEvents) / s);
+    }
+    {
+        std::uint64_t events = 0;
+        const double s =
+            bestSeconds(5, [&] { events = runFlashChannelMix(); });
+        j.add("flash_channel.events", events);
+        j.add("flash_channel.events_per_s", double(events) / s);
     }
     {
         // Arrival-gap shape: the hierarchical calendar's headline

@@ -6,11 +6,18 @@ running bench_micro_kernels and bench_serving there):
 
     python3 bench/perf_diff.py [BUILD_DIR]     # default: build
 
-Baselines are the BENCH_*.json files at the repository root. Each
-tracked key prints one line with its baseline-to-current ratio; a key
-that moved past its bound in its "worse" direction prints as a GitHub
-Actions ``::warning::`` annotation. The diff is warn-only: it always
-exits 0, because CI machines vary.
+Baselines are the BENCH_*.json files at the repository root. Two kinds
+of key are checked:
+
+- Host-timed keys (events/s, elements/s, wall-clock rates) print one
+  line with their baseline-to-current ratio; a key that moved past its
+  bound in its "worse" direction prints as a GitHub Actions
+  ``::warning::`` annotation. These never fail the step, because CI
+  machines vary.
+- Deterministic simulated keys must equal the baseline exactly. A
+  mismatch prints as ``::error::`` and the script exits 1: the
+  simulator's numbers moved, and the baseline needs a deliberate
+  re-commit alongside the change that moved them.
 """
 
 import json
@@ -19,13 +26,46 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# Simulated-clock serving keys. The SLO smoke scenario, the KV capacity
+# and swap/prefix-share points, the worst fault corner (5% UCP +
+# channel 0 offline) and the reliability smoke corner (bump placement,
+# ECC 32, fastest refresh on the aged device) run identically in
+# --smoke and in full runs, and are fully deterministic, so they must
+# reproduce the committed full-run baseline digit for digit.
+SERVING_EXACT = [
+    'slo_smoke.fcfs.finite_run_tokens_per_s',
+    'slo_smoke.fcfs.ttft.p95_ms',
+    'slo_smoke.fcfs.tbt.p95_ms',
+    'slo_smoke.chunked256.finite_run_tokens_per_s',
+    'slo_smoke.chunked256.ttft.p95_ms',
+    'slo_smoke.chunked256.tbt.p95_ms',
+    'slo_smoke.chunked256.ttft.p50_ms',
+    'kv_sweep.budget50.finite_run_tokens_per_s',
+    'kv_sweep.budget50.ttft.p95_ms',
+    'kv_sweep.swap50.ttft.p95_ms',
+    'kv_sweep.swap50.swap_out_blocks',
+    'kv_sweep.swap50.swap_in_blocks',
+    'kv_sweep.swap50.kv_swap_channel_mb',
+    'kv_sweep.share_on.prefix_hit_blocks',
+    'kv_sweep.share.users_per_gb_off',
+    'kv_sweep.share.users_per_gb_on',
+    'fault_sweep.ucp5_offline.goodput_tokens_per_s',
+    'fault_sweep.ucp5_offline.ttft.p95_ms',
+    'reliability_sweep.bump_ecc32_r1000.goodput_tokens_per_s',
+    'reliability_sweep.bump_ecc32_r1000.retry_channel_mb',
+    'reliability_sweep.bump_ecc32_r1000.tbt.p99_ms',
+    'reliability_sweep.bump_ecc32_r1000.wear_spread_pe',
+    'reliability_sweep.bump_ecc32_r1000.refresh_mb',
+]
 
-def diff(base_path, now_path, lower_is_worse, higher_is_worse,
-         either_is_worse=()):
-    with open(base_path) as f:
-        base = json.load(f)
-    with open(now_path) as f:
-        now = json.load(f)
+
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def diff(base, now, lower_is_worse, higher_is_worse, either_is_worse=()):
+    """Warn-only ratio check of host-timed keys."""
     for key, worse_below, worse_above in (
             [(k, True, False) for k in lower_is_worse] +
             [(k, False, True) for k in higher_is_worse] +
@@ -47,14 +87,31 @@ def diff(base_path, now_path, lower_is_worse, higher_is_worse,
             print(line)
 
 
+def exact(base, now, keys):
+    """Check deterministic keys for equality; return the mismatch count."""
+    bad = 0
+    for key in keys:
+        if key not in base or key not in now:
+            print(f'::error::deterministic key {key} missing '
+                  f'(baseline: {key in base}, current: {key in now})')
+            bad += 1
+        elif now[key] != base[key]:
+            print(f'::error::deterministic key {key} moved: '
+                  f'baseline {base[key]!r} -> current {now[key]!r}')
+            bad += 1
+        else:
+            print(f'{key}: {now[key]!r} (exact)')
+    return bad
+
+
 def main(build_dir):
     # The events/sec keys diff in BOTH directions: a drop is a
-    # kernel regression, while a silent jump means the calendar
-    # or the workload changed shape and the committed baseline
-    # needs a deliberate re-commit (the hierarchical-wheel PR
-    # itself moved gap_events_per_s by design).
-    diff(os.path.join(ROOT, 'BENCH_micro.json'),
-         os.path.join(build_dir, 'BENCH_micro.json'),
+    # kernel regression, while a silent jump means the calendar, the
+    # flash hot path or the workload changed shape and the committed
+    # baseline needs a deliberate re-commit (the hierarchical-wheel
+    # calendar moved gap_events_per_s by design).
+    diff(load(os.path.join(ROOT, 'BENCH_micro.json')),
+         load(os.path.join(build_dir, 'BENCH_micro.json')),
          lower_is_worse=[
              'gemv512.blocked_elems_per_s',
              'gemv512.simd_elems_per_s',
@@ -64,60 +121,19 @@ def main(build_dir):
          either_is_worse=[
              'event_queue.events_per_s',
              'event_queue.gap_events_per_s',
+             'flash_channel.events_per_s',
              'fleet.events_per_s',
          ])
 
-    # The SLO smoke scenario and the KV capacity smoke point are
-    # identical in --smoke and full runs and fully deterministic,
-    # so their percentile keys diff tick-for-tick against the
-    # committed full-run baseline.
-    diff(os.path.join(ROOT, 'BENCH_serving.json'),
-         os.path.join(build_dir, 'BENCH_serving.json'),
-         lower_is_worse=[
-             'slo_smoke.fcfs.finite_run_tokens_per_s',
-             'slo_smoke.chunked256.finite_run_tokens_per_s',
-             'kv_sweep.budget50.finite_run_tokens_per_s',
-         ],
-         higher_is_worse=[
-             'slo_smoke.fcfs.ttft.p95_ms',
-             'slo_smoke.fcfs.tbt.p95_ms',
-             'slo_smoke.chunked256.ttft.p95_ms',
-             'slo_smoke.chunked256.tbt.p95_ms',
-             'slo_smoke.chunked256.ttft.p50_ms',
-             'kv_sweep.budget50.ttft.p95_ms',
-         ],
-         # The worst fault corner (5% UCP + channel 0 offline)
-         # and the reliability smoke corner (bump placement,
-         # ECC 32, fastest refresh on the aged device) run
-         # identically in --smoke. Goodput, tails, retry volume
-         # and the wear spread under injected wear are
-         # calibration points, not scores — a shift in EITHER
-         # direction means the reliability model moved and the
-         # baseline needs a deliberate re-commit.
-         either_is_worse=[
-             # KV reuse points run identically in --smoke: the
-             # 50%-budget swap point (swap volume and the tail it
-             # buys back) and the shared-prefix capacity pair
-             # (hit blocks, users/GB both sides). Movement in
-             # either direction means the swap cost model or the
-             # prefix tree changed and the baseline needs a
-             # deliberate re-commit.
-             'kv_sweep.swap50.ttft.p95_ms',
-             'kv_sweep.swap50.swap_out_blocks',
-             'kv_sweep.swap50.swap_in_blocks',
-             'kv_sweep.swap50.kv_swap_channel_mb',
-             'kv_sweep.share_on.prefix_hit_blocks',
-             'kv_sweep.share.users_per_gb_off',
-             'kv_sweep.share.users_per_gb_on',
-             'fault_sweep.ucp5_offline.goodput_tokens_per_s',
-             'fault_sweep.ucp5_offline.ttft.p95_ms',
-             'reliability_sweep.bump_ecc32_r1000.goodput_tokens_per_s',
-             'reliability_sweep.bump_ecc32_r1000.retry_channel_mb',
-             'reliability_sweep.bump_ecc32_r1000.tbt.p99_ms',
-             'reliability_sweep.bump_ecc32_r1000.wear_spread_pe',
-             'reliability_sweep.bump_ecc32_r1000.refresh_mb',
-         ])
+    bad = exact(load(os.path.join(ROOT, 'BENCH_serving.json')),
+                load(os.path.join(build_dir, 'BENCH_serving.json')),
+                SERVING_EXACT)
+    if bad:
+        print(f'::error::{bad} deterministic serving key(s) differ from '
+              f'the committed BENCH_serving.json')
+        return 1
+    return 0
 
 
 if __name__ == '__main__':
-    main(sys.argv[1] if len(sys.argv) > 1 else 'build')
+    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else 'build'))

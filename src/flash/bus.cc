@@ -1,28 +1,37 @@
 #include "bus.h"
 
-#include <utility>
-
-#include "common/logging.h"
-
 namespace camllm::flash {
 
-void
-ChannelBus::request(BusPriority prio, std::uint64_t bytes,
-                    std::function<void()> done, const char *label)
+ChannelBus::Txn *
+ChannelBus::acquire()
 {
-    CAMLLM_ASSERT(bytes > 0, "zero-byte bus transaction");
-    Txn txn{next_seq_++, bytes, std::move(done), label};
-    if (prio == BusPriority::High)
-        high_.push_back(std::move(txn));
-    else
-        low_.push_back(std::move(txn));
-    tryStart();
+    // The pool grows a chunk at a time on demand, so an idle bus owns
+    // no nodes and a busy one stops allocating at its peak depth.
+    if (free_ == nullptr) {
+        chunks_.push_back(std::make_unique<Txn[]>(kChunk));
+        Txn *chunk = chunks_.back().get();
+        for (std::size_t i = 0; i < kChunk; ++i) {
+            chunk[i].next = free_;
+            free_ = &chunk[i];
+        }
+    }
+    Txn *txn = free_;
+    free_ = txn->next;
+    return txn;
+}
+
+void
+ChannelBus::release(Txn *txn)
+{
+    txn->done.reset();
+    txn->next = free_;
+    free_ = txn;
 }
 
 void
 ChannelBus::tryStart()
 {
-    if (busy_now_)
+    if (in_flight_ != nullptr)
         return;
     if (high_.empty() && low_.empty())
         return;
@@ -37,31 +46,38 @@ ChannelBus::tryStart()
     } else if (priority_) {
         take_high = true;
     } else {
-        take_high = high_.front().seq < low_.front().seq;
+        take_high = high_.head->seq < low_.head->seq;
     }
     BusPriority prio = take_high ? BusPriority::High : BusPriority::Low;
-    auto &queue = take_high ? high_ : low_;
-    Txn txn = std::move(queue.front());
-    queue.pop_front();
+    Txn *txn = (take_high ? high_ : low_).pop();
 
-    busy_now_ = true;
+    in_flight_ = txn;
     Tick start = eq_.now();
-    Tick end = start + grantTime(txn.bytes);
+    Tick end = start + grantTime(txn->bytes);
     busy_.addBusy(start, end);
     if (prio == BusPriority::High)
-        bytes_high_ += txn.bytes;
+        bytes_high_ += txn->bytes;
     else
-        bytes_low_ += txn.bytes;
+        bytes_low_ += txn->bytes;
     ++grants_;
 
     if (trace_)
-        trace_(GrantTrace{start, end, prio, txn.bytes, txn.label});
+        trace_(GrantTrace{start, end, prio, txn->bytes, txn->label});
 
-    eq_.schedule(end, [this, done = std::move(txn.done)]() mutable {
-        busy_now_ = false;
-        done();
-        tryStart();
-    });
+    eq_.schedule(end, [this] { finishGrant(); });
+}
+
+void
+ChannelBus::finishGrant()
+{
+    // Free the wire before the callback runs: `done` may request the
+    // bus again (a finished result lets the next tile broadcast its
+    // input), and that grant starts at once, replacing in_flight_.
+    Txn *txn = in_flight_;
+    in_flight_ = nullptr;
+    txn->done();
+    release(txn);
+    tryStart();
 }
 
 } // namespace camllm::flash

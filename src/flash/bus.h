@@ -15,13 +15,16 @@
 #define CAMLLM_FLASH_BUS_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/stats.h"
 #include "common/units.h"
 #include "sim/event_queue.h"
+#include "sim/inline_callback.h"
 
 namespace camllm::flash {
 
@@ -32,7 +35,15 @@ enum class BusPriority
     Low   ///< read-page data slices
 };
 
-/** Priority-arbitrated, non-preemptive channel bus. */
+/**
+ * Priority-arbitrated, non-preemptive channel bus.
+ *
+ * Every grant is a page slice, a result vector or an input broadcast,
+ * so the bus is the simulator's busiest component. Transactions live
+ * in pooled nodes that carry their completion callable inline and
+ * link into intrusive per-class FIFOs: a request allocates nothing
+ * once the pool has grown to the channel's peak queue depth.
+ */
 class ChannelBus
 {
   public:
@@ -61,12 +72,27 @@ class ChannelBus
     {
     }
 
+    ChannelBus(const ChannelBus &) = delete;
+    ChannelBus &operator=(const ChannelBus &) = delete;
+
     /**
      * Request a bus grant for @p bytes. @p done runs when the transfer
      * completes. @p label is only used for tracing.
      */
-    void request(BusPriority prio, std::uint64_t bytes,
-                 std::function<void()> done, const char *label = "");
+    template <typename F>
+    void
+    request(BusPriority prio, std::uint64_t bytes, F &&done,
+            const char *label = "")
+    {
+        CAMLLM_ASSERT(bytes > 0, "zero-byte bus transaction");
+        Txn *txn = acquire();
+        txn->done.emplace(std::forward<F>(done));
+        txn->seq = next_seq_++;
+        txn->bytes = bytes;
+        txn->label = label;
+        (prio == BusPriority::High ? high_ : low_).push(txn);
+        tryStart();
+    }
 
     /** Install a per-grant trace hook (nullptr to disable). */
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
@@ -91,7 +117,7 @@ class ChannelBus
     std::uint64_t bytesHigh() const { return bytes_high_; }
     std::uint64_t bytesLow() const { return bytes_low_; }
     std::uint64_t grants() const { return grants_; }
-    bool idle() const { return !busy_now_; }
+    bool idle() const { return in_flight_ == nullptr; }
 
     /** Time to move @p bytes including the per-grant overhead. */
     Tick
@@ -102,15 +128,50 @@ class ChannelBus
     }
 
   private:
+    /** One pooled transaction; `next` links its FIFO or the free list. */
     struct Txn
     {
-        std::uint64_t seq;
-        std::uint64_t bytes;
-        std::function<void()> done;
-        const char *label;
+        Txn *next = nullptr;
+        std::uint64_t seq = 0;
+        std::uint64_t bytes = 0;
+        const char *label = "";
+        InlineCallback done;
     };
 
+    /** Intrusive FIFO of queued transactions. */
+    struct TxnList
+    {
+        Txn *head = nullptr;
+        Txn *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        push(Txn *t)
+        {
+            t->next = nullptr;
+            (tail ? tail->next : head) = t;
+            tail = t;
+        }
+
+        Txn *
+        pop()
+        {
+            Txn *t = head;
+            head = t->next;
+            if (head == nullptr)
+                tail = nullptr;
+            return t;
+        }
+    };
+
+    /** Transaction nodes per pool chunk. */
+    static constexpr std::size_t kChunk = 64;
+
+    Txn *acquire();
+    void release(Txn *txn);
     void tryStart();
+    void finishGrant();
 
     EventQueue &eq_;
     double bytes_per_ns_;
@@ -118,9 +179,14 @@ class ChannelBus
     bool priority_;
     double rate_scale_ = 1.0;
     std::uint64_t next_seq_ = 0;
-    std::deque<Txn> high_;
-    std::deque<Txn> low_;
-    bool busy_now_ = false;
+    TxnList high_;
+    TxnList low_;
+    /** The grant on the wire; its end event captures only `this`. */
+    Txn *in_flight_ = nullptr;
+    /** Node storage: queued, in-flight and free nodes all live here,
+     *  so destroying the bus destroys every pending callable. */
+    std::vector<std::unique_ptr<Txn[]>> chunks_;
+    Txn *free_ = nullptr;
     BusyTracker busy_;
     std::uint64_t bytes_high_ = 0;
     std::uint64_t bytes_low_ = 0;

@@ -16,18 +16,10 @@ ChannelEngine::ChannelEngine(EventQueue &eq, const FlashParams &params,
 {
     CAMLLM_ASSERT(tile_window_ > 0);
     const std::uint32_t n_dies = params_.geometry.diesPerChannel();
-    DieModel::Callbacks cbs;
-    cbs.input_ready = [this](std::uint32_t seq) { return inputReady(seq); };
-    cbs.rc_result_delivered = [this](const RcPageJob &j) {
-        onRcResultDelivered(j);
-    };
-    cbs.read_delivered = [this](const ReadPageJob &j) { onReadDelivered(j); };
-    cbs.read_slot_free = [this] { dispatchReads(); };
-    cbs.retry_drained = [this](const ReadPageJob &j) { onRetryDrained(j); };
     dies_.reserve(n_dies);
     for (std::uint32_t i = 0; i < n_dies; ++i)
-        dies_.push_back(std::make_unique<DieModel>(eq_, bus_, params_, cbs,
-                                                   channel_index_, i));
+        dies_.push_back(std::make_unique<DieModel>(
+            eq_, bus_, params_, *this, channel_index_, i));
 }
 
 void
@@ -71,22 +63,21 @@ ChannelEngine::failOffline()
     // client and must not be produced twice). The input broadcast is
     // repeated on the new channel either way — its cores have empty
     // input buffers.
-    for (const RcTileWork &t : tile_queue_)
-        w.tiles.push_back(t);
+    for (std::size_t i = 0; i < tile_queue_.size(); ++i)
+        w.tiles.push_back(tile_queue_[i]);
     tile_queue_.clear();
-    for (const auto &[seq, tile] : active_) {
+    for (const ActiveTile &tile : active_) {
         if (tile.results_remaining == 0)
             continue;
         RcTileWork t = tile.work;
         t.cores_used = tile.results_remaining;
         w.tiles.push_back(t);
     }
-    // active_ stays populated: late die events still consult
-    // inputReady() through cbs_, and the entries are dead weight, not
-    // dangling state.
+    // active_ stays populated: the entries are dead weight, not
+    // dangling state, and an offline die never consults them again.
 
-    for (const ReadPageJob &j : read_queue_)
-        w.reads.push_back(j);
+    for (std::size_t i = 0; i < read_queue_.size(); ++i)
+        w.reads.push_back(read_queue_[i]);
     read_queue_.clear();
     for (const auto &die : dies_)
         die->collectReads(w.reads);
@@ -100,7 +91,7 @@ ChannelEngine::tryActivate()
         RcTileWork tile = tile_queue_.front();
         tile_queue_.pop_front();
         const std::uint32_t seq = next_tile_seq_++;
-        active_.emplace(seq, ActiveTile{tile, tile.cores_used, false});
+        active_.push_back(ActiveTile{seq, tile, tile.cores_used, false});
 
         // Broadcast the input slice to every engaged core's input
         // buffer; a single grant serves all chips on the bus.
@@ -108,9 +99,7 @@ ChannelEngine::tryActivate()
                      [this, seq] {
                          if (offline_)
                              return;
-                         auto it = active_.find(seq);
-                         CAMLLM_ASSERT(it != active_.end());
-                         it->second.input_ready = true;
+                         active_[activeIndex(seq)].input_ready = true;
                          for (auto &die : dies_)
                              die->notifyInputArrived();
                      },
@@ -145,13 +134,21 @@ ChannelEngine::dispatchReads()
     }
 }
 
+std::size_t
+ChannelEngine::activeIndex(std::uint32_t seq) const
+{
+    std::size_t i = 0;
+    while (i < active_.size() && active_[i].seq != seq)
+        ++i;
+    CAMLLM_ASSERT(i < active_.size(), "compute references inactive tile %u",
+                  seq);
+    return i;
+}
+
 bool
 ChannelEngine::inputReady(std::uint32_t tile_seq) const
 {
-    auto it = active_.find(tile_seq);
-    CAMLLM_ASSERT(it != active_.end(),
-                  "compute references inactive tile %u", tile_seq);
-    return it->second.input_ready;
+    return active_[activeIndex(tile_seq)].input_ready;
 }
 
 void
@@ -159,11 +156,10 @@ ChannelEngine::onRcResultDelivered(const RcPageJob &job)
 {
     if (offline_)
         return;
-    auto it = active_.find(job.tile_seq);
-    CAMLLM_ASSERT(it != active_.end());
-    CAMLLM_ASSERT(it->second.results_remaining > 0);
-    if (--it->second.results_remaining == 0) {
-        active_.erase(it);
+    const std::size_t i = activeIndex(job.tile_seq);
+    CAMLLM_ASSERT(active_[i].results_remaining > 0);
+    if (--active_[i].results_remaining == 0) {
+        active_.erase(active_.begin() + std::ptrdiff_t(i));
         tryActivate();
     }
     Completion c;

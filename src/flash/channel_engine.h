@@ -16,11 +16,10 @@
 #define CAMLLM_FLASH_CHANNEL_ENGINE_H
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "flash/bus.h"
 #include "flash/completion.h"
 #include "flash/die.h"
@@ -105,19 +104,26 @@ class ChannelEngine
     }
 
   private:
-    void tryActivate();
+    // The dies' upcalls; DieModel calls them directly.
+    friend class DieModel;
     void dispatchReads();
     bool inputReady(std::uint32_t tile_seq) const;
     void onRcResultDelivered(const RcPageJob &job);
     void onReadDelivered(const ReadPageJob &job);
     void onRetryDrained(const ReadPageJob &job);
 
+    void tryActivate();
+
     struct ActiveTile
     {
+        std::uint32_t seq;
         RcTileWork work; ///< as submitted, for re-issue on failure
         std::uint32_t results_remaining;
         bool input_ready = false;
     };
+
+    /** Index into active_ of tile @p seq (asserts it is active). */
+    std::size_t activeIndex(std::uint32_t seq) const;
 
     EventQueue &eq_;
     FlashParams params_;
@@ -128,11 +134,13 @@ class ChannelEngine
     ChannelBus bus_;
     std::vector<std::unique_ptr<DieModel>> dies_;
 
-    std::deque<RcTileWork> tile_queue_;
-    std::map<std::uint32_t, ActiveTile> active_;
+    RingQueue<RcTileWork> tile_queue_;
+    /** At most tile_window_ tiles, in seq order; a linear scan beats
+     *  any tree at this size. */
+    std::vector<ActiveTile> active_;
     std::uint32_t next_tile_seq_ = 0;
 
-    std::deque<ReadPageJob> read_queue_;
+    RingQueue<ReadPageJob> read_queue_;
     std::size_t rr_die_ = 0; ///< round-robin cursor for read dispatch
 
     bool offline_ = false;

@@ -17,11 +17,11 @@
 #define CAMLLM_FLASH_COMPLETION_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/ring_queue.h"
 #include "flash/work.h"
 #include "sim/event_queue.h"
 
@@ -98,7 +98,7 @@ class CompletionRouter
     struct Port
     {
         Handler handler;
-        std::deque<Completion> pending;
+        RingQueue<Completion> pending;
         bool drain_scheduled = false;
         bool disconnected = false;
     };

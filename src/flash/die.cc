@@ -1,8 +1,7 @@
 #include "die.h"
 
-#include <memory>
-
 #include "common/logging.h"
+#include "flash/channel_engine.h"
 
 namespace camllm::flash {
 
@@ -34,7 +33,7 @@ DieModel::advanceRc()
     // and only then is the weight page fetched (step 2); the plane
     // also waits for the data register to be handed off.
     if (!rc_reading_ && !rc_data_reg_ && !rc_queue_.empty() &&
-        cbs_.input_ready(rc_queue_.front().tile_seq)) {
+        owner_.inputReady(rc_queue_.front().tile_seq)) {
         rc_reading_ = rc_queue_.front();
         rc_queue_.pop_front();
         startRcSense(0, fault_ ? drawFor(0) : 0);
@@ -55,7 +54,7 @@ DieModel::advanceRc()
 
     // Stage 3: compute, gated on the broadcast input vector.
     if (rc_cache_reg_ && !core_busy_ &&
-        cbs_.input_ready(rc_cache_reg_->tile_seq)) {
+        owner_.inputReady(rc_cache_reg_->tile_seq)) {
         core_busy_ = true;
         const Tick dur = rc_cache_reg_->compute_time;
         core_busy_stat_.addBusy(eq_.now(), eq_.now() + dur);
@@ -70,7 +69,7 @@ DieModel::advanceRc()
             bus_.request(BusPriority::High, job.out_bytes,
                          [this, job] {
                              if (!offline_)
-                                 cbs_.rc_result_delivered(job);
+                                 owner_.onRcResultDelivered(job);
                          },
                          "rc-result");
             advanceRc();
@@ -138,7 +137,7 @@ DieModel::drawFor(std::uint32_t plane)
  * pages are decoded by the controller, so a failed attempt still pays
  * the register move and the full page transfer over the channel
  * before the ECC verdict comes back; those bytes are billed to
- * WorkClass::Retry via the retry_drained upcall. The plane stays
+ * WorkClass::Retry via the owner's onRetryDrained(). The plane stays
  * occupied for the whole ladder (rd_reading_ keeps its job), so
  * canAcceptRead() correctly reports busy until a rung decodes.
  */
@@ -175,18 +174,17 @@ DieModel::drainFailedRead(std::uint32_t attempt, std::uint32_t retries)
         const std::uint32_t slice = params_.timing.slice_bytes;
         const std::uint32_t n_slices =
             job.sliced ? (job.bytes + slice - 1) / slice : 1;
-        auto remaining = std::make_shared<std::uint32_t>(n_slices);
+        retry_slices_left_ = n_slices;
         std::uint32_t left = job.bytes;
         for (std::uint32_t i = 0; i < n_slices; ++i) {
             const std::uint32_t chunk =
                 job.sliced ? std::min(slice, left) : job.bytes;
             left -= chunk;
             bus_.request(BusPriority::Low, chunk,
-                         [this, remaining, attempt, retries] {
-                             if (--*remaining != 0 || offline_)
+                         [this, attempt, retries] {
+                             if (--retry_slices_left_ != 0 || offline_)
                                  return;
-                             if (cbs_.retry_drained)
-                                 cbs_.retry_drained(*rd_reading_);
+                             owner_.onRetryDrained(*rd_reading_);
                              startReadSense(attempt + 1, retries);
                          },
                          "retry-slice");
@@ -210,7 +208,7 @@ DieModel::advanceRead()
             rd_cache_reg_ = rd_data_reg_;
             rd_data_reg_.reset();
             rd_moving_ = false;
-            cbs_.read_slot_free();
+            owner_.dispatchReads();
             advanceRead();
         });
     }
@@ -223,20 +221,20 @@ DieModel::advanceRead()
         const std::uint32_t slice = params_.timing.slice_bytes;
         std::uint32_t n_slices =
             job.sliced ? (job.bytes + slice - 1) / slice : 1;
-        auto remaining = std::make_shared<std::uint32_t>(n_slices);
+        rd_slices_left_ = n_slices;
         std::uint32_t left = job.bytes;
         for (std::uint32_t i = 0; i < n_slices; ++i) {
             std::uint32_t chunk =
                 job.sliced ? std::min(slice, left) : job.bytes;
             left -= chunk;
             bus_.request(BusPriority::Low, chunk,
-                         [this, remaining] {
-                             if (--*remaining == 0 && !offline_) {
+                         [this] {
+                             if (--rd_slices_left_ == 0 && !offline_) {
                                  ReadPageJob done = *rd_cache_reg_;
                                  rd_cache_reg_.reset();
                                  rd_draining_ = false;
                                  ++pages_read_;
-                                 cbs_.read_delivered(done);
+                                 owner_.onReadDelivered(done);
                                  advanceRead();
                              }
                          },

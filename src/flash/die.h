@@ -15,11 +15,10 @@
 #define CAMLLM_FLASH_DIE_H
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "flash/bus.h"
 #include "flash/fault.h"
 #include "flash/params.h"
@@ -28,33 +27,23 @@
 
 namespace camllm::flash {
 
-/** Event-driven model of one on-die-processing flash die. */
+class ChannelEngine;
+
+/**
+ * Event-driven model of one on-die-processing flash die. Its upcalls
+ * (input-vector checks, delivered results and pages, a freed read
+ * slot, drained retry traffic) are direct calls into the owning
+ * ChannelEngine.
+ */
 class DieModel
 {
   public:
-    /** Upcalls into the per-channel scheduler. */
-    struct Callbacks
-    {
-        /** Is tile @p tile_seq's input vector in the input buffer? */
-        std::function<bool(std::uint32_t tile_seq)> input_ready;
-        /** A compute result finished its bus grant. */
-        std::function<void(const RcPageJob &)> rc_result_delivered;
-        /** A read page finished its last bus slice. */
-        std::function<void(const ReadPageJob &)> read_delivered;
-        /** The read plane can accept another job. */
-        std::function<void()> read_slot_free;
-        /** A failed sense's page crossed the bus before the
-         *  controller's ECC rejected it (retry-traffic accounting).
-         *  Null when no fault model is armed. */
-        std::function<void(const ReadPageJob &)> retry_drained;
-    };
-
     /** @p channel / @p die_in_channel identify this die so a wear-
      *  tracking fault model can look up the target plane's state. */
     DieModel(EventQueue &eq, ChannelBus &bus, const FlashParams &params,
-             Callbacks cbs, std::uint32_t channel = 0,
+             ChannelEngine &owner, std::uint32_t channel = 0,
              std::uint32_t die_in_channel = 0)
-        : eq_(eq), bus_(bus), params_(params), cbs_(std::move(cbs)),
+        : eq_(eq), bus_(bus), params_(params), owner_(owner),
           channel_(channel), die_(die_in_channel)
     {
     }
@@ -82,10 +71,9 @@ class DieModel
 
     /**
      * The channel died: stop reacting to anything still scheduled.
-     * Events already in the queue fire as no-ops (the EventQueue has
-     * no cancellation); pipeline registers are deliberately left
-     * populated because pending bus-drain lambdas still dereference
-     * them.
+     * Events already in the queue and grants still on the bus fire as
+     * no-ops (neither has cancellation); the pipeline registers keep
+     * their jobs so collectReads() can hand them back for re-issue.
      */
     void setOffline() { offline_ = true; }
 
@@ -121,12 +109,12 @@ class DieModel
     EventQueue &eq_;
     ChannelBus &bus_;
     FlashParams params_;
-    Callbacks cbs_;
+    ChannelEngine &owner_;
     std::uint32_t channel_ = 0;
     std::uint32_t die_ = 0;
 
     // read-compute plane pipeline
-    std::deque<RcPageJob> rc_queue_;
+    RingQueue<RcPageJob> rc_queue_;
     std::optional<RcPageJob> rc_reading_;  ///< array read in flight
     std::optional<RcPageJob> rc_data_reg_;
     std::optional<RcPageJob> rc_cache_reg_;
@@ -139,6 +127,8 @@ class DieModel
     std::optional<ReadPageJob> rd_cache_reg_;
     bool rd_moving_ = false;
     bool rd_draining_ = false; ///< slices of cache page on the bus
+    std::uint32_t rd_slices_left_ = 0;    ///< of the draining cache page
+    std::uint32_t retry_slices_left_ = 0; ///< of the failed sense's page
 
     FaultModel *fault_ = nullptr;
     bool offline_ = false;

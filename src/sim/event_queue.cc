@@ -94,22 +94,9 @@ EventQueue::EventQueue(std::size_t window_ticks)
     addChunk();
 }
 
-EventQueue::~EventQueue()
-{
-    // Destroy any still-pending callbacks so captured state is freed.
-    for (Bucket &b : buckets_)
-        for (Event *ev = b.head; ev != nullptr; ev = ev->next)
-            if (ev->destroy)
-                ev->destroy(ev->storage);
-    for (Wheel &w : wheels_)
-        for (Bucket &b : w.slots)
-            for (Event *ev = b.head; ev != nullptr; ev = ev->next)
-                if (ev->destroy)
-                    ev->destroy(ev->storage);
-    for (FarEvent &fe : heap_)
-        if (fe.ev->destroy)
-            fe.ev->destroy(fe.ev->storage);
-}
+// Pending callbacks are destroyed with the pool's records (every
+// InlineCallback releases its capture), so captured state is freed.
+EventQueue::~EventQueue() = default;
 
 void
 EventQueue::addChunk()
@@ -195,8 +182,7 @@ EventQueue::enqueue(Event *ev)
 void
 EventQueue::release(Event *ev)
 {
-    if (ev->destroy)
-        ev->destroy(ev->storage);
+    ev->fn.reset();
     ev->next = free_;
     free_ = ev;
     ++free_count_;
@@ -324,7 +310,6 @@ EventQueue::reserve(std::size_t events)
     // unused tail (so it is not orphaned when a new chunk replaces
     // it as the carve target), then whole fresh chunks.
     const auto carve = [this](Event *ev) {
-        ev->destroy = nullptr;
         ev->next = free_;
         free_ = ev;
         ++pool_allocated_;
@@ -348,7 +333,7 @@ EventQueue::step()
     Event *ev = popEarliest();
     now_ = ev->when;
     ++executed_;
-    ev->invoke(ev->storage);
+    ev->fn();
     release(ev);
     return true;
 }

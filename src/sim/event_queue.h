@@ -25,13 +25,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/units.h"
+#include "sim/inline_callback.h"
 
 namespace camllm {
 
@@ -63,7 +62,7 @@ class EventQueue
 {
   public:
     /** Inline capacity of an event record's callback storage. */
-    static constexpr std::size_t kInlineBytes = 48;
+    static constexpr std::size_t kInlineBytes = InlineCallback::kInlineBytes;
 
     /**
      * @param window_ticks level-0 calendar width in ticks; rounded up
@@ -108,33 +107,7 @@ class EventQueue
         // node in the calendar (the unlinked node merely leaks back
         // to the pool on queue destruction).
         Event *ev = acquire(when);
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            ::new (static_cast<void *>(ev->storage))
-                Fn(std::forward<F>(fn));
-            ev->invoke = [](void *p) { (*static_cast<Fn *>(p))(); };
-            if constexpr (std::is_trivially_destructible_v<Fn>)
-                ev->destroy = nullptr;
-            else
-                ev->destroy = [](void *p) {
-                    static_cast<Fn *>(p)->~Fn();
-                };
-        } else {
-            // Oversized callable: one heap hop, still pooled node.
-            Fn *boxed = new Fn(std::forward<F>(fn));
-            std::memcpy(ev->storage, &boxed, sizeof boxed);
-            ev->invoke = [](void *p) {
-                Fn *f;
-                std::memcpy(&f, p, sizeof f);
-                (*f)();
-            };
-            ev->destroy = [](void *p) {
-                Fn *f;
-                std::memcpy(&f, p, sizeof f);
-                delete f;
-            };
-        }
+        ev->fn.emplace(std::forward<F>(fn));
         enqueue(ev);
     }
 
@@ -207,9 +180,7 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         Event *next = nullptr; ///< bucket FIFO / free-list link
-        void (*invoke)(void *) = nullptr;
-        void (*destroy)(void *) = nullptr;
-        alignas(std::max_align_t) unsigned char storage[kInlineBytes];
+        InlineCallback fn;
     };
 
     struct Bucket
@@ -248,7 +219,7 @@ class EventQueue
 
     /** Pop a pooled record and stamp (when, seq); not yet linked in. */
     Event *acquire(Tick when);
-    /** Destroy the callback (if any) and return the node to the pool. */
+    /** Destroy the callback and return the node to the pool. */
     void release(Event *ev);
     Event *allocate();
     void addChunk();

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -230,6 +231,38 @@ TEST(BusyTracker, IgnoresEmptyInterval)
     b.addBusy(5, 5);
     EXPECT_EQ(b.busyTicks(), 0u);
     EXPECT_DOUBLE_EQ(b.utilization(0), 0.0);
+}
+
+// The ring keeps FIFO order while its head wraps around the array and
+// when its storage grows with the live range wrapped.
+TEST(RingQueue, FifoAcrossWrapAndGrowth)
+{
+    RingQueue<int> q;
+    EXPECT_TRUE(q.empty());
+    int next_in = 0;
+    int next_out = 0;
+    // Cycle at depth 5 so the head walks around the first array.
+    for (int i = 0; i < 5; ++i)
+        q.push_back(next_in++);
+    for (int i = 0; i < 13; ++i) {
+        EXPECT_EQ(q.front(), next_out++);
+        q.pop_front();
+        q.push_back(next_in++);
+    }
+    // Grow while wrapped, then drain.
+    for (int i = 0; i < 20; ++i)
+        q.push_back(next_in++);
+    ASSERT_EQ(q.size(), 25u);
+    for (std::size_t i = 0; i < q.size(); ++i)
+        EXPECT_EQ(q[i], next_out + int(i));
+    while (!q.empty()) {
+        EXPECT_EQ(q.front(), next_out++);
+        q.pop_front();
+    }
+    EXPECT_EQ(next_out, next_in);
+    q.push_back(7);
+    q.clear();
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(Table, RendersAllCells)

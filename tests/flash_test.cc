@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "flash/address.h"
@@ -15,6 +20,37 @@
 #include "flash/flash_system.h"
 #include "flash/placement.h"
 #include "sim/event_queue.h"
+#include "sim/inline_callback.h"
+
+namespace {
+
+/** Global operator new calls in this process, for allocation tests. */
+std::atomic<std::uint64_t> g_news{0};
+
+} // namespace
+
+// Counting replacements of the global allocation functions (the array
+// and sized forms forward to these).
+void *
+operator new(std::size_t n)
+{
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace camllm::flash {
 namespace {
@@ -258,7 +294,102 @@ TEST(ChannelBus, TraceHookSeesGrants)
     EXPECT_STREQ(traces[1].label, "slice");
 }
 
+// A callable too big for the inline slot is boxed on the heap: it still
+// runs exactly once and its capture dies with the finished grant.
+TEST(ChannelBus, OversizedCallbackRunsOnceAndIsDestroyed)
+{
+    EventQueue eq;
+    ChannelBus bus(eq, 1.0, 0);
+    auto payload = std::make_shared<int>(41);
+    std::weak_ptr<int> watch = payload;
+    int runs = 0;
+    std::uint64_t sum = 0;
+    struct Big
+    {
+        std::shared_ptr<int> p;
+        std::uint64_t pad[8];
+    } big{std::move(payload), {1, 2, 3, 4, 5, 6, 7, 8}};
+    static_assert(sizeof(Big) > InlineCallback::kInlineBytes);
+    bus.request(BusPriority::Low, 16, [big = std::move(big), &runs, &sum] {
+        ++runs;
+        sum = std::uint64_t(*big.p) + big.pad[7];
+    });
+    eq.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(sum, 49u);
+    EXPECT_TRUE(watch.expired());
+}
+
+// Tearing a bus down mid-run (one grant on the wire, more queued in
+// both classes) releases everything their callables captured.
+TEST(ChannelBus, DestructionReleasesQueuedAndInFlightCaptures)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        ChannelBus bus(eq, 1.0, 0);
+        bus.request(BusPriority::Low, 100, [token] {}); // in flight
+        bus.request(BusPriority::Low, 100, [token] {});
+        bus.request(BusPriority::High, 10, [token] {});
+        struct Big
+        {
+            std::shared_ptr<int> p;
+            std::uint64_t pad[8];
+        } big{token, {}};
+        bus.request(BusPriority::Low, 100,
+                    [big = std::move(big)] { (void)big; });
+        EXPECT_FALSE(bus.idle());
+        EXPECT_EQ(token.use_count(), 5);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
 // --- die + channel engine ---------------------------------------------------
+
+// The flash hot path is allocation-free once warm: after one batch has
+// grown the event pool, bus node pool and queue rings to the batch's
+// peak depth, an identical batch performs no heap allocation at all.
+TEST(ChannelEngine, SteadyStateBatchAllocatesNothing)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    std::uint64_t results = 0;
+    std::uint64_t read_bytes = 0;
+    router.connect([&](const Completion &c) {
+        if (c.kind == Completion::Kind::RcResult)
+            ++results;
+        else
+            read_bytes += c.bytes;
+    });
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 2;
+    p.geometry.dies_per_chip = 2; // 4 cores on the channel
+    ChannelEngine ce(eq, p, router);
+    RcTileWork tile;
+    tile.op_id = 1;
+    tile.cores_used = 4;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    ReadPageJob read;
+    read.op_id = 2;
+    read.bytes = p.geometry.page_bytes;
+    read.sliced = true;
+    const auto batch = [&] {
+        for (int i = 0; i < 12; ++i) {
+            ce.submitTile(tile);
+            ce.submitRead(read);
+        }
+        eq.run();
+    };
+
+    batch();
+    const std::uint64_t warm = g_news.load();
+    batch();
+    EXPECT_EQ(g_news.load() - warm, 0u);
+    EXPECT_EQ(results, 2u * 12 * 4);
+    EXPECT_EQ(read_bytes, 2u * 12 * p.geometry.page_bytes);
+}
 
 TEST(ChannelEngine, ReadJobExactTiming)
 {

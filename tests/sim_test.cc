@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "sim/event_queue.h"
+#include "sim/inline_callback.h"
 
 namespace camllm {
 namespace {
@@ -213,6 +214,36 @@ TEST(EventQueue, OversizedCallbacksExecuteAndDestroy)
     eq.run();
     EXPECT_EQ(sum, 49u);
     EXPECT_TRUE(watch.expired()); // capture destroyed after execution
+}
+
+// The callback slot event records share with the flash bus's
+// transaction nodes: inline and boxed callables both run, and both
+// release their captures on reset() and when a filled slot dies.
+TEST(InlineCallback, InlineAndBoxedCapturesReleased)
+{
+    auto payload = std::make_shared<int>(41);
+    struct Big
+    {
+        std::shared_ptr<int> p;
+        std::uint64_t pad[8];
+    };
+    static_assert(sizeof(Big) > InlineCallback::kInlineBytes);
+    std::uint64_t sum = 0;
+    {
+        InlineCallback small;
+        InlineCallback boxed;
+        small.emplace([p = payload, &sum] { sum += std::uint64_t(*p); });
+        boxed.emplace([big = Big{payload, {1, 2, 3, 4, 5, 6, 7, 8}}, &sum] {
+            sum += std::uint64_t(*big.p) + big.pad[7];
+        });
+        EXPECT_EQ(payload.use_count(), 3);
+        small();
+        boxed();
+        EXPECT_EQ(sum, 41u + 49u);
+        small.reset();
+        EXPECT_EQ(payload.use_count(), 2);
+    } // `boxed` is destroyed still filled
+    EXPECT_EQ(payload.use_count(), 1);
 }
 
 // --- configurable calendar window ---------------------------------------
