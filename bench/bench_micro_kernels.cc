@@ -23,6 +23,8 @@
 #include "ecc/bitflip.h"
 #include "ecc/outlier_codec.h"
 #include "flash/channel_engine.h"
+#include "flash/fault.h"
+#include "flash/placement.h"
 #include "llm/kernels.h"
 #include "llm/tiny_transformer.h"
 #include "sim/event_queue.h"
@@ -114,6 +116,42 @@ runFlashChannelMix()
         std::fprintf(stderr, "flash channel mix: %llu of %llu done\n",
                      (unsigned long long)done, (unsigned long long)want);
     return eq.executed();
+}
+
+/**
+ * Wear-tracked ECC-32 read-retry draws over an aged (500 h, 2000 P/E,
+ * +/-60% skew) striped placement: every draw targets the next plane
+ * in flat order, and every 64th draw scrubs one page (noteRefresh),
+ * which moves two planes' wear state under the draws the way the
+ * refresh and remap paths do during serving.
+ * @return retry rungs drawn, so the loop stays observable.
+ */
+std::uint64_t
+runLadderDraws(std::uint64_t draws)
+{
+    const flash::FlashGeometry g;
+    flash::WeightPlacement place(g);
+    place.seedStriped(place.planeCount() * 64);
+    place.seedWear(2000.0, 0.6, 500.0);
+    flash::FaultSpec spec;
+    spec.retention_hours = 500.0;
+    spec.pe_cycles = 2000.0;
+    spec.wear_tracking = true;
+    spec.ecc_correctable_bits = 32;
+    flash::FaultModel m(spec, g.page_bytes);
+    m.setWearSource(&place);
+    const std::size_t n = place.planeCount();
+    std::uint64_t retries = 0;
+    for (std::uint64_t i = 0; i < draws; ++i) {
+        const std::size_t idx = i % n;
+        if (i % 64 == 63)
+            place.noteRefresh(idx, (idx * 7 + 1) % n);
+        retries += m.drawRetriesForPlane(
+            place.planeChannel(idx),
+            std::uint32_t(idx / g.planes_per_die % g.diesPerChannel()),
+            std::uint32_t(idx % g.planes_per_die));
+    }
+    return retries;
 }
 
 void
@@ -365,6 +403,14 @@ emitJson(std::chrono::steady_clock::time_point wall0)
         j.add("event_queue.gap_events", GapWorkload::kTotalEvents);
         j.add("event_queue.gap_events_per_s",
               double(GapWorkload::kTotalEvents) / s);
+    }
+    {
+        constexpr std::uint64_t kDraws = 100000;
+        const double s = bestSeconds(3, [] {
+            benchmark::DoNotOptimize(runLadderDraws(kDraws));
+        });
+        j.add("fault.ladder_draws", kDraws);
+        j.add("fault.ladder_draws_per_s", double(kDraws) / s);
     }
     {
         // Fleet-scale events/sec: N independent serving replicas on

@@ -20,6 +20,7 @@ ChannelEngine::ChannelEngine(EventQueue &eq, const FlashParams &params,
     for (std::uint32_t i = 0; i < n_dies; ++i)
         dies_.push_back(std::make_unique<DieModel>(
             eq_, bus_, params_, *this, channel_index_, i));
+    idle_read_planes_ = n_dies;
 }
 
 void
@@ -124,14 +125,24 @@ ChannelEngine::dispatchReads()
         return;
     // Round-robin over dies so read service spreads across planes.
     const std::size_t n = dies_.size();
-    for (std::size_t probe = 0; probe < n && !read_queue_.empty(); ++probe) {
+    for (std::size_t probe = 0;
+         probe < n && !read_queue_.empty() && idle_read_planes_ > 0;
+         ++probe) {
         std::size_t d = (rr_die_ + probe) % n;
         if (dies_[d]->canAcceptRead()) {
             dies_[d]->pushReadJob(read_queue_.front());
             read_queue_.pop_front();
+            --idle_read_planes_;
             rr_die_ = (d + 1) % n;
         }
     }
+}
+
+void
+ChannelEngine::onReadPlaneFreed()
+{
+    ++idle_read_planes_;
+    dispatchReads();
 }
 
 std::size_t

@@ -107,6 +107,8 @@ class ChannelEngine
     // The dies' upcalls; DieModel calls them directly.
     friend class DieModel;
     void dispatchReads();
+    /** A die's read plane handed its page to the cache register. */
+    void onReadPlaneFreed();
     bool inputReady(std::uint32_t tile_seq) const;
     void onRcResultDelivered(const RcPageJob &job);
     void onReadDelivered(const ReadPageJob &job);
@@ -142,6 +144,9 @@ class ChannelEngine
 
     RingQueue<ReadPageJob> read_queue_;
     std::size_t rr_die_ = 0; ///< round-robin cursor for read dispatch
+    /** Dies whose read plane can accept a read: dispatchReads()
+     *  stops probing as soon as none can. */
+    std::size_t idle_read_planes_ = 0;
 
     bool offline_ = false;
 

@@ -208,7 +208,7 @@ DieModel::advanceRead()
             rd_cache_reg_ = rd_data_reg_;
             rd_data_reg_.reset();
             rd_moving_ = false;
-            owner_.dispatchReads();
+            owner_.onReadPlaneFreed();
             advanceRead();
         });
     }

@@ -50,11 +50,22 @@ FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes)
     : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed)
 {
     CAMLLM_ASSERT(page_bytes_ > 0);
-    uniform_ber_ =
-        ecc::retentionBer(spec_.retention_hours, spec_.pe_cycles);
-    ucp_ = spec_.ecc_correctable_bits > 0
-               ? ucpAt(spec_.retention_hours, spec_.pe_cycles)
-               : spec_.effectiveUcpRate();
+    const double ucp0 =
+        spec_.ecc_correctable_bits > 0
+            ? ucpAt(spec_.retention_hours, spec_.pe_cycles)
+            : spec_.effectiveUcpRate();
+    deriveLadder(ucp0,
+                 ecc::retentionBer(spec_.retention_hours,
+                                   spec_.pe_cycles),
+                 uniform_);
+}
+
+void
+FaultModel::setWearSource(const WeightPlacement *placement)
+{
+    wear_ = placement;
+    planes_.assign(placement ? placement->planeCount() : 0,
+                   PlaneLadder{});
 }
 
 double
@@ -73,31 +84,67 @@ FaultModel::ucpAt(double age_hours, double pe_cycles) const
     return std::min(spec_.ucp_rate * (ber / rp.base_ber), 0.9);
 }
 
-std::uint32_t
-FaultModel::climbLadder(double ucp0, double ber0)
+void
+FaultModel::deriveLadder(double ucp0, double ber0, Ladder &out) const
 {
-    if (ucp0 <= 0.0)
-        return 0;
-    std::uint32_t r = 0;
-    double p = ucp0;
+    out.resize(spec_.ladder.max_retries);
+    if (out.empty())
+        return;
+    out[0] = ucp0;
     double ber = ber0;
-    while (r < spec_.ladder.max_retries) {
-        ++draws_;
-        if (!rng_.chance(p))
-            break;
-        ++r;
+    for (std::size_t k = 1; k < out.size(); ++k) {
         if (spec_.ecc_correctable_bits > 0) {
             // Shifted read levels lower the raw BER; re-derive the
             // rung's failure probability from the codeword tail,
             // which collapses super-geometrically for strong codes.
             ber *= spec_.ladder.retry_fail_decay;
-            p = std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                      spec_.ecc_codeword_bytes,
-                                      page_bytes_),
-                         0.9);
+            out[k] = std::min(ecc::pageUcp(ber,
+                                           spec_.ecc_correctable_bits,
+                                           spec_.ecc_codeword_bytes,
+                                           page_bytes_),
+                              0.9);
         } else {
-            p *= spec_.ladder.retry_fail_decay;
+            out[k] = out[k - 1] * spec_.ladder.retry_fail_decay;
         }
+    }
+}
+
+const FaultModel::Ladder &
+FaultModel::planeLadder(std::size_t idx)
+{
+    PlaneLadder &l = planes_[idx];
+    const double pe = wear_->planeWear(idx);
+    const double age = wear_->planeAge(idx);
+    const double frac = wear_->planeFreshFraction(idx);
+    if (pe != l.pe || age != l.age || frac != l.frac) {
+        l.pe = pe;
+        l.age = age;
+        l.frac = frac;
+        double ucp0 = ucpAt(age, pe);
+        double ber0 = ecc::retentionBer(age, pe);
+        if (frac > 0.0) {
+            // A read hits a scrubbed (fresh) page with probability
+            // frac; mix the aged and fresh failure rates accordingly.
+            ucp0 = (1.0 - frac) * ucp0 + frac * ucpAt(0.0, pe);
+            ber0 = (1.0 - frac) * ber0 +
+                   frac * ecc::retentionBer(0.0, pe);
+        }
+        deriveLadder(ucp0, ber0, l.fail);
+    }
+    return l.fail;
+}
+
+std::uint32_t
+FaultModel::climbLadder(const Ladder &fail)
+{
+    if (fail.empty() || fail[0] <= 0.0)
+        return 0;
+    std::uint32_t r = 0;
+    while (r < fail.size()) {
+        ++draws_;
+        if (!rng_.chance(fail[r]))
+            break;
+        ++r;
     }
     return r;
 }
@@ -105,7 +152,7 @@ FaultModel::climbLadder(double ucp0, double ber0)
 std::uint32_t
 FaultModel::drawRetries()
 {
-    return climbLadder(ucp_, uniform_ber_);
+    return climbLadder(uniform_);
 }
 
 std::uint32_t
@@ -115,21 +162,8 @@ FaultModel::drawRetriesForPlane(std::uint32_t channel,
 {
     if (!wear_)
         return drawRetries();
-    const std::size_t idx =
-        wear_->planeIndex(channel, die_in_channel, plane);
-    const double pe = wear_->planeWear(idx);
-    const double age = wear_->planeAge(idx);
-    const double frac = wear_->planeFreshFraction(idx);
-    double ucp0 = ucpAt(age, pe);
-    double ber0 = ecc::retentionBer(age, pe);
-    if (frac > 0.0) {
-        // A read hits a scrubbed (fresh) page with probability frac;
-        // mix the aged and fresh failure rates accordingly.
-        ucp0 = (1.0 - frac) * ucp0 + frac * ucpAt(0.0, pe);
-        ber0 = (1.0 - frac) * ber0 +
-               frac * ecc::retentionBer(0.0, pe);
-    }
-    return climbLadder(ucp0, ber0);
+    return climbLadder(planeLadder(
+        wear_->planeIndex(channel, die_in_channel, plane)));
 }
 
 double

@@ -37,6 +37,7 @@
 #define CAMLLM_FLASH_FAULT_H
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -189,9 +190,11 @@ class FaultModel
 
     /**
      * drawRetries with the rung probabilities derived from the target
-     * plane's tracked wear, age and refreshed fraction. Falls back to
-     * the uniform draw when no wear source is armed, so dies can call
-     * it unconditionally.
+     * plane's tracked wear, age and refreshed fraction. The rates are
+     * derived once per plane state and reused until a program, refresh
+     * or remap moves it, so a draw is O(1). Falls back to the uniform
+     * draw when no wear source is armed, so dies can call it
+     * unconditionally.
      */
     std::uint32_t drawRetriesForPlane(std::uint32_t channel,
                                       std::uint32_t die_in_channel,
@@ -199,10 +202,7 @@ class FaultModel
 
     /** Attach the placement map whose per-plane wear drives
      *  drawRetriesForPlane; must outlive the model. */
-    void setWearSource(const WeightPlacement *placement)
-    {
-        wear_ = placement;
-    }
+    void setWearSource(const WeightPlacement *placement);
 
     bool wearAware() const { return wear_ != nullptr; }
 
@@ -222,14 +222,39 @@ class FaultModel
     std::uint64_t drawsTaken() const { return draws_; }
 
   private:
-    /** Climb the ladder from first-sense probability @p ucp0; @p ber0
-     *  seeds the per-rung codeword-tail recompute when ECC is armed. */
-    std::uint32_t climbLadder(double ucp0, double ber0);
+    /** Failure probability of each sense attempt k < max_retries;
+     *  rung 0 is the first-sense UCP. */
+    using Ladder = std::vector<double>;
+
+    /** A plane's ladder and the wear inputs it was derived from.
+     *  The inputs start NaN, which compares unequal to any state, so
+     *  a plane's first read derives its ladder. */
+    struct PlaneLadder
+    {
+        static constexpr double kUnset =
+            std::numeric_limits<double>::quiet_NaN();
+        double pe = kUnset;
+        double age = kUnset;
+        double frac = kUnset;
+        Ladder fail;
+    };
+
+    /** Fill @p out from first-sense UCP @p ucp0 and raw BER @p ber0:
+     *  with ECC armed each rung decays the BER and re-derives the
+     *  codeword tail, otherwise it decays the UCP itself. */
+    void deriveLadder(double ucp0, double ber0, Ladder &out) const;
+
+    /** @p idx's ladder, re-derived only when its wear, age or
+     *  refreshed fraction differs from the stored inputs. */
+    const Ladder &planeLadder(std::size_t idx);
+
+    /** Draw rungs up @p fail until one decodes or the ladder ends. */
+    std::uint32_t climbLadder(const Ladder &fail);
 
     FaultSpec spec_;
     std::uint32_t page_bytes_;
-    double ucp_;          ///< uniform first-sense UCP
-    double uniform_ber_;  ///< raw BER at the spec scalars
+    Ladder uniform_; ///< at the spec scalars
+    std::vector<PlaneLadder> planes_; ///< by flat plane index
     Rng rng_;
     std::uint64_t draws_ = 0;
     const WeightPlacement *wear_ = nullptr;

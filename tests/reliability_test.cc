@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <tuple>
@@ -19,6 +20,7 @@
 #include "core/presets.h"
 #include "core/scheduler.h"
 #include "core/sweep.h"
+#include "common/rng.h"
 #include "ecc/retention.h"
 #include "flash/fault.h"
 #include "flash/placement.h"
@@ -164,6 +166,130 @@ TEST(ReliabilityFaultModel, WornPlanesFailMoreThanFreshOnes)
                                       g.planes_per_die - 1);
     }
     EXPECT_GT(worn, fresh);
+}
+
+/**
+ * One ECC-armed ladder draw recomputed from scratch: the first-sense
+ * UCP and raw BER at (@p pe, @p age), mixed with the fresh-page rates
+ * by the refreshed fraction @p frac, then every failed rung decays
+ * the BER and re-derives the codeword tail. @p draws counts the
+ * random draws taken from @p rng.
+ */
+std::uint32_t
+referenceDraw(const FaultSpec &spec, std::uint32_t page_bytes,
+              double pe, double age, double frac, Rng &rng,
+              std::uint64_t &draws)
+{
+    const auto ucp = [&](double ber) {
+        return std::min(ecc::pageUcp(ber, spec.ecc_correctable_bits,
+                                     spec.ecc_codeword_bytes,
+                                     page_bytes),
+                        0.9);
+    };
+    double ber = ecc::retentionBer(age, pe);
+    double p = ucp(ber);
+    if (frac > 0.0) {
+        const double fresh = ecc::retentionBer(0.0, pe);
+        p = (1.0 - frac) * p + frac * ucp(fresh);
+        ber = (1.0 - frac) * ber + frac * fresh;
+    }
+    if (p <= 0.0)
+        return 0;
+    std::uint32_t r = 0;
+    while (r < spec.ladder.max_retries) {
+        ++draws;
+        if (!rng.chance(p))
+            break;
+        ++r;
+        ber *= spec.ladder.retry_fail_decay;
+        p = ucp(ber);
+    }
+    return r;
+}
+
+TEST(ReliabilityFaultModel, PlaneLaddersReplayTheReferenceAcrossWearChanges)
+{
+    FlashGeometry g;
+    WeightPlacement place(g);
+    place.seedStriped(place.planeCount() * 64);
+    place.seedWear(2000.0, 0.6, 500.0);
+
+    FaultSpec spec;
+    spec.retention_hours = 500.0;
+    spec.pe_cycles = 2000.0;
+    spec.wear_tracking = true;
+    spec.ecc_correctable_bits = 32;
+    // A gentle decay keeps the worn planes' upper rungs climbable.
+    spec.ladder.retry_fail_decay = 0.7;
+    spec.seed = 11;
+    FaultModel m(spec, g.page_bytes);
+    m.setWearSource(&place);
+
+    Rng ref(spec.seed), pick(3);
+    std::uint64_t ref_draws = 0, retries = 0;
+    std::uint32_t deepest = 0;
+    const std::uint32_t last_die = g.diesPerChannel() - 1;
+    for (int i = 0; i < 6000; ++i) {
+        // A few planes at both ends of the wear gradient, so most
+        // draws repeat a plane whose state has not moved.
+        const std::uint32_t c = pick.chance(0.5) ? 0 : g.channels - 1;
+        const std::uint32_t d = pick.chance(0.5) ? 0 : last_die;
+        const std::uint32_t p =
+            pick.chance(0.5) ? 0 : g.planes_per_die - 1;
+        const std::size_t idx = place.planeIndex(c, d, p);
+        if (i % 7 == 3)
+            place.notePrograms(idx, 1 + std::uint64_t(i % 5));
+        if (i % 11 == 5)
+            place.noteRefresh(idx, place.planeCount() - 1 - idx);
+        // Age the device and then restore it: every plane's inputs
+        // return to the state they had before the detour.
+        if (i == 2000)
+            place.seedWear(2000.0, 0.6, 900.0);
+        if (i == 2500)
+            place.seedWear(2000.0, 0.6, 500.0);
+
+        const std::uint32_t want = referenceDraw(
+            spec, g.page_bytes, place.planeWear(idx),
+            place.planeAge(idx), place.planeFreshFraction(idx), ref,
+            ref_draws);
+        ASSERT_EQ(m.drawRetriesForPlane(c, d, p), want) << "draw " << i;
+        ASSERT_EQ(m.drawsTaken(), ref_draws) << "draw " << i;
+        retries += want;
+        deepest = std::max(deepest, want);
+    }
+    // The replay must have exercised the ladder, not just clean reads.
+    EXPECT_GT(retries, 0u);
+    EXPECT_GE(deepest, 2u);
+}
+
+TEST(ReliabilityFaultModel, UniformEccLadderReplaysTheReference)
+{
+    // ECC armed without wear tracking: every draw uses the uniform
+    // ladder, whose rungs fall off slowly enough here to be climbed.
+    FaultSpec spec;
+    spec.retention_hours = 500.0;
+    spec.pe_cycles = 4000.0;
+    spec.ecc_correctable_bits = 32;
+    spec.ladder.max_retries = 6;
+    spec.ladder.retry_fail_decay = 0.8;
+    spec.seed = 13;
+    FaultModel m(spec);
+    EXPECT_FALSE(m.wearAware());
+
+    Rng ref(spec.seed);
+    std::uint64_t ref_draws = 0;
+    std::uint32_t deepest = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint32_t want =
+            referenceDraw(spec, 16384, spec.pe_cycles,
+                          spec.retention_hours, 0.0, ref, ref_draws);
+        const std::uint32_t got =
+            i % 2 ? m.drawRetries() : m.drawRetriesForPlane(1, 2, 1);
+        ASSERT_EQ(got, want) << "draw " << i;
+        deepest = std::max(deepest, want);
+    }
+    EXPECT_EQ(m.drawsTaken(), ref_draws);
+    EXPECT_GE(deepest, 3u);
 }
 
 // ---------------------------------------------------------------------------
