@@ -339,6 +339,49 @@ BM_EventQueueArrivalGaps(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueArrivalGaps);
 
+/**
+ * The die pattern: kBurst callbacks sharing one tick (every die of a
+ * channel finishing its sense in the same tR), each rescheduling
+ * itself one 30 us page read later. The kernel chains each burst, so
+ * this tracks the per-callback cost of a same-tick chain.
+ */
+struct BurstWorkload
+{
+    static constexpr int kBurst = 16;
+    static constexpr int kRounds = 20000;
+    static constexpr std::uint64_t kTotalEvents =
+        std::uint64_t(kBurst) * kRounds;
+
+    EventQueue eq;
+
+    void die(int remaining)
+    {
+        if (remaining > 1)
+            eq.scheduleIn(30 * kUs,
+                          [this, remaining] { die(remaining - 1); });
+    }
+
+    void run()
+    {
+        for (int i = 0; i < kBurst; ++i)
+            eq.schedule(0, [this] { die(kRounds); });
+        eq.run();
+    }
+};
+
+void
+BM_EventQueueSameTickBursts(benchmark::State &state)
+{
+    for (auto _ : state) {
+        BurstWorkload w;
+        w.run();
+        benchmark::DoNotOptimize(w.eq.executed());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            BurstWorkload::kTotalEvents);
+}
+BENCHMARK(BM_EventQueueSameTickBursts);
+
 /** Best-of-@p reps wall time of one call to @p fn, in seconds. */
 template <typename Fn>
 double
@@ -403,6 +446,18 @@ emitJson(std::chrono::steady_clock::time_point wall0)
         j.add("event_queue.gap_events", GapWorkload::kTotalEvents);
         j.add("event_queue.gap_events_per_s",
               double(GapWorkload::kTotalEvents) / s);
+    }
+    {
+        const double s = bestSeconds(5, [] {
+            BurstWorkload w;
+            w.run();
+            if (w.eq.executed() != BurstWorkload::kTotalEvents)
+                std::fprintf(stderr, "burst workload event mismatch\n");
+            benchmark::DoNotOptimize(w.eq.executed());
+        });
+        j.add("event_queue.burst_events", BurstWorkload::kTotalEvents);
+        j.add("event_queue.burst_events_per_s",
+              double(BurstWorkload::kTotalEvents) / s);
     }
     {
         constexpr std::uint64_t kDraws = 100000;

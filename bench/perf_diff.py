@@ -117,6 +117,7 @@ def main(build_dir):
              'gemv512.simd_elems_per_s',
              'decode.preset_s_opt6_7b_tokens_per_s',
              'fault.ladder_draws_per_s',
+             'event_queue.burst_events_per_s',
          ],
          higher_is_worse=[],
          either_is_worse=[

@@ -14,6 +14,7 @@
 #define CAMLLM_ECC_RETENTION_H
 
 #include <cstdint>
+#include <vector>
 
 namespace camllm::ecc {
 
@@ -59,6 +60,35 @@ double codewordFailProb(double ber, std::uint32_t correctable_bits,
  */
 double pageUcp(double ber, std::uint32_t correctable_bits,
                std::uint32_t codeword_bytes, std::uint32_t page_bytes);
+
+/**
+ * codewordFailProb and pageUcp for one fixed (correctable bits,
+ * codeword size) pair, with the BER-independent log-binomial
+ * coefficients ln C(n, k), k <= correctable bits, built once. Every
+ * result is bit-identical to the free functions', which delegate
+ * here: the terms and the summation order are the same. Callers that
+ * evaluate many BERs at one ECC strength keep one of these.
+ */
+class CodewordTail
+{
+  public:
+    CodewordTail(std::uint32_t correctable_bits,
+                 std::uint32_t codeword_bytes);
+
+    /** codewordFailProb(@p ber, correctable bits, codeword bytes). */
+    double failProb(double ber) const;
+
+    /** pageUcp(@p ber, correctable bits, codeword bytes,
+     *  @p page_bytes). */
+    double pageUcp(double ber, std::uint32_t page_bytes) const;
+
+  private:
+    std::uint32_t codeword_bytes_;
+    std::uint64_t n_; ///< codeword bits
+    /** ln C(n, k) for k = 0..correctable bits; empty when the code
+     *  corrects the whole codeword (it never fails). */
+    std::vector<double> log_binom_;
+};
 
 } // namespace camllm::ecc
 

@@ -47,7 +47,9 @@ FaultSpec::effectiveUcpRate() const
 }
 
 FaultModel::FaultModel(const FaultSpec &spec, std::uint32_t page_bytes)
-    : spec_(spec), page_bytes_(page_bytes), rng_(spec.seed)
+    : spec_(spec), page_bytes_(page_bytes),
+      tail_(spec.ecc_correctable_bits, spec.ecc_codeword_bytes),
+      rng_(spec.seed)
 {
     CAMLLM_ASSERT(page_bytes_ > 0);
     const double ucp0 =
@@ -74,10 +76,7 @@ FaultModel::ucpAt(double age_hours, double pe_cycles) const
     const ecc::RetentionParams rp;
     const double ber = ecc::retentionBer(age_hours, pe_cycles, rp);
     if (spec_.ecc_correctable_bits > 0) {
-        return std::min(ecc::pageUcp(ber, spec_.ecc_correctable_bits,
-                                     spec_.ecc_codeword_bytes,
-                                     page_bytes_),
-                        0.9);
+        return std::min(tail_.pageUcp(ber, page_bytes_), 0.9);
     }
     if (spec_.ucp_rate <= 0.0)
         return 0.0;
@@ -98,11 +97,7 @@ FaultModel::deriveLadder(double ucp0, double ber0, Ladder &out) const
             // rung's failure probability from the codeword tail,
             // which collapses super-geometrically for strong codes.
             ber *= spec_.ladder.retry_fail_decay;
-            out[k] = std::min(ecc::pageUcp(ber,
-                                           spec_.ecc_correctable_bits,
-                                           spec_.ecc_codeword_bytes,
-                                           page_bytes_),
-                              0.9);
+            out[k] = std::min(tail_.pageUcp(ber, page_bytes_), 0.9);
         } else {
             out[k] = out[k - 1] * spec_.ladder.retry_fail_decay;
         }

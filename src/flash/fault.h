@@ -42,6 +42,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "ecc/retention.h"
 #include "flash/placement.h"
 
 namespace camllm::flash {
@@ -253,6 +254,7 @@ class FaultModel
 
     FaultSpec spec_;
     std::uint32_t page_bytes_;
+    ecc::CodewordTail tail_; ///< at the spec's ECC strength
     Ladder uniform_; ///< at the spec scalars
     std::vector<PlaneLadder> planes_; ///< by flat plane index
     Rng rng_;

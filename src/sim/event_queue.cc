@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstdlib>
 
 #include "common/logging.h"
 
@@ -61,36 +59,19 @@ scanOccupied(const std::uint64_t *occ, std::size_t size,
 
 } // namespace
 
-std::size_t
-EventQueue::defaultWindow()
-{
-    if (const char *env = std::getenv("CAMLLM_EQ_WINDOW")) {
-        char *end = nullptr;
-        errno = 0;
-        const long n = std::strtol(env, &end, 10);
-        // Insist on a fully-consumed plain decimal count: "1024abc"
-        // and "1e6" are configuration mistakes, not window widths.
-        if (end != env && *end == '\0' && errno != ERANGE && n >= 1)
-            return std::size_t(n);
-        warn("ignoring CAMLLM_EQ_WINDOW='%s' (want a plain base-10 "
-             "tick count >= 1)",
-             env);
-    }
-    return kDefaultWindow;
-}
-
 EventQueue::EventQueue(std::size_t window_ticks)
-    : buckets_(roundUpPow2Clamped(window_ticks == 0 ? defaultWindow()
-                                                    : window_ticks,
-                                  kMinWindow, kMaxWindow))
+    : slots0_(roundUpPow2Clamped(window_ticks == 0 ? kDefaultWindow
+                                                   : window_ticks,
+                                 kMinWindow, kMaxWindow),
+              nullptr)
 {
-    bucket_mask_ = Tick(buckets_.size() - 1);
-    occ0_.assign((buckets_.size() + 63) / 64, 0);
+    slot_mask_ = Tick(slots0_.size() - 1);
+    occ0_.assign((slots0_.size() + 63) / 64, 0);
     const unsigned window_log2 =
-        unsigned(std::countr_zero(buckets_.size()));
+        unsigned(std::countr_zero(slots0_.size()));
     for (unsigned k = 0; k < kUpperLevels; ++k)
         wheels_[k].shift = window_log2 + 10 * k; // kUpperSlots == 2^10
-    heap_.reserve(buckets_.size());
+    heap_.reserve(slots0_.size());
     addChunk();
 }
 
@@ -132,18 +113,27 @@ EventQueue::acquire(Tick when)
     ev->when = when;
     ev->seq = next_seq_++;
     ev->next = nullptr;
+    ev->chain = nullptr;
     return ev;
 }
 
 void
-EventQueue::appendToBucket(Bucket &b, Event *ev)
+EventQueue::joinChain(Event *head, Event *ev)
 {
-    ev->next = nullptr;
-    if (b.tail == nullptr)
-        b.head = ev;
-    else
-        b.tail->next = ev;
-    b.tail = ev;
+    // Rings: head->chain is its last member, whose link is the first
+    // member. Splice ev (then ev's own members) in after head's last.
+    Event *const head_last = head->chain;
+    Event *const ev_last = ev->chain;
+    Event *const first = head_last != nullptr ? head_last->chain : ev;
+    if (ev_last != nullptr) {
+        ev->chain = ev_last->chain;
+        ev_last->chain = first;
+    } else {
+        ev->chain = first;
+    }
+    if (head_last != nullptr)
+        head_last->chain = ev;
+    head->chain = ev_last != nullptr ? ev_last : ev;
 }
 
 void
@@ -154,10 +144,17 @@ EventQueue::enqueue(Event *ev)
     // The anchor never crosses a block boundary without draining the
     // covering slot first, so for a fixed tick this level is monotone
     // non-increasing over time — a newer event can never land below
-    // an older same-tick one, which keeps same-tick FIFO order exact.
+    // an older same-tick one, which keeps same-tick FIFO order exact
+    // and makes a same-tick head ending the slot the right chain to
+    // join.
     if ((when >> wheels_[0].shift) == (cal_base_ >> wheels_[0].shift)) {
-        const std::size_t idx = std::size_t(when & bucket_mask_);
-        appendToBucket(buckets_[idx], ev);
+        const std::size_t idx = std::size_t(when & slot_mask_);
+        Event *&head = slots0_[idx];
+        if (head != nullptr) {
+            joinChain(head, ev); // a level-0 slot is one tick wide
+            return;
+        }
+        head = ev;
         occ0_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
         ++cal_count_;
         if (when < cal_scan_)
@@ -168,8 +165,19 @@ EventQueue::enqueue(Event *ev)
         if ((when >> (w.shift + 10)) == (cal_base_ >> (w.shift + 10))) {
             const std::size_t idx =
                 std::size_t(when >> w.shift) & (kUpperSlots - 1);
-            appendToBucket(w.slots[idx], ev);
-            w.occ[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+            Bucket &b = w.slots[idx];
+            if (b.tail != nullptr && b.tail->when == when) {
+                joinChain(b.tail, ev);
+                return;
+            }
+            ev->next = nullptr;
+            if (b.tail == nullptr) {
+                b.head = ev;
+                w.occ[idx >> 6] |= std::uint64_t(1) << (idx & 63);
+            } else {
+                b.tail->next = ev;
+            }
+            b.tail = ev;
             ++w.count;
             ++wheel_count_;
             return;
@@ -189,19 +197,40 @@ EventQueue::release(Event *ev)
 }
 
 void
+EventQueue::releaseMembers(Event *first, Event *last)
+{
+    for (Event *m = first;;) {
+        Event *const next = m->chain;
+        const bool done = m == last;
+        release(m);
+        if (done)
+            return;
+        m = next;
+    }
+}
+
+void
+EventQueue::releaseGroup(Event *head)
+{
+    if (Event *const last = head->chain)
+        releaseMembers(last->chain, last);
+    release(head);
+}
+
+void
 EventQueue::migrateFromHeap()
 {
     CAMLLM_ASSERT(cal_count_ == 0 && wheel_count_ == 0 &&
                   !heap_.empty());
     const Tick top = heap_.front().when;
     CAMLLM_ASSERT(top >= now_);
-    cal_base_ = top & ~bucket_mask_;
+    cal_base_ = top & ~slot_mask_;
     cal_scan_ = top;
-    // Heap pops arrive in (when, seq) order, so FIFO appends keep the
-    // same-tick sequence ordering intact. Everything inside the new
-    // top-wheel block moves now, so the heap afterwards holds only
-    // events in later blocks — which keeps wheels-before-heap a
-    // total order in time.
+    // Heap pops arrive in (when, seq) order, so FIFO appends and
+    // chain joins keep the same-tick sequence ordering intact.
+    // Everything inside the new top-wheel block moves now, so the
+    // heap afterwards holds only events in later blocks — which keeps
+    // wheels-before-heap a total order in time.
     const unsigned top_shift = wheels_[kUpperLevels - 1].shift + 10;
     while (!heap_.empty() && (heap_.front().when >> top_shift) ==
                                  (cal_base_ >> top_shift)) {
@@ -218,11 +247,11 @@ EventQueue::peekEarliestTick(Tick commit_limit)
     for (;;) {
         if (cal_count_ > 0) {
             const Tick from = std::max(cal_scan_, now_);
-            const Tick end = cal_base_ + buckets_.size();
+            const Tick end = cal_base_ + slots0_.size();
             CAMLLM_ASSERT(from < end);
             const std::size_t off =
-                scanOccupied(occ0_.data(), buckets_.size(),
-                             std::size_t(from & bucket_mask_),
+                scanOccupied(occ0_.data(), slots0_.size(),
+                             std::size_t(from & slot_mask_),
                              std::size_t(end - from));
             CAMLLM_ASSERT(off < std::size_t(end - from),
                           "non-empty calendar scanned empty");
@@ -254,11 +283,11 @@ EventQueue::peekEarliestTick(Tick commit_limit)
                 (Tick(idx) << w.shift);
             if (start > commit_limit)
                 return start; // lower bound; anchor stays put
-            // Cascade: drain the slot in stored (insertion) order
-            // into the levels below. Its span is exactly the next
-            // level's whole block, so every event lands at least one
-            // level down; only anchor digits below level k change,
-            // so no other event's level shifts.
+            // Cascade: drain the slot's heads in stored (insertion)
+            // order into the levels below, each with its chain. Its
+            // span is exactly the next level's whole block, so every
+            // event lands at least one level down; only anchor digits
+            // below level k change, so no other event's level shifts.
             cal_base_ = start;
             cal_scan_ = start;
             Bucket &b = w.slots[idx];
@@ -280,22 +309,6 @@ EventQueue::peekEarliestTick(Tick commit_limit)
             return top;
         migrateFromHeap();
     }
-}
-
-EventQueue::Event *
-EventQueue::popEarliest()
-{
-    const Tick t = peekEarliestTick(kTickMax);
-    const std::size_t idx = std::size_t(t & bucket_mask_);
-    Bucket &b = buckets_[idx];
-    Event *ev = b.head;
-    b.head = ev->next;
-    if (b.head == nullptr) {
-        b.tail = nullptr;
-        occ0_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
-    }
-    --cal_count_;
-    return ev;
 }
 
 void
@@ -326,12 +339,31 @@ EventQueue::reserve(std::size_t events)
 }
 
 bool
-EventQueue::step()
+EventQueue::stepUntil(Tick limit)
 {
-    if (empty())
-        return false;
-    Event *ev = popEarliest();
-    now_ = ev->when;
+    Event *ev = ready_;
+    if (ev != nullptr) {
+        // Members run at the head's tick, which is now() <= limit.
+        ready_ = ev == ready_last_ ? nullptr : ev->chain;
+    } else {
+        if (pending_ == 0)
+            return false;
+        const Tick t = peekEarliestTick(limit);
+        if (t > limit)
+            return false;
+        const std::size_t idx = std::size_t(t & slot_mask_);
+        ev = slots0_[idx];
+        slots0_[idx] = nullptr;
+        occ0_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
+        --cal_count_;
+        ++popped_;
+        now_ = t;
+        if (Event *const last = ev->chain) {
+            ready_ = last->chain;
+            ready_last_ = last;
+        }
+    }
+    --pending_;
     ++executed_;
     ev->fn();
     release(ev);
@@ -341,7 +373,7 @@ EventQueue::step()
 void
 EventQueue::run()
 {
-    while (step()) {
+    while (stepUntil(kTickMax)) {
     }
 }
 
@@ -349,12 +381,9 @@ Tick
 EventQueue::runUntil(Tick limit)
 {
     // The bounded peek never commits an anchor advance past @p limit,
-    // so when the loop breaks the clock lands at limit >= cal_base_
+    // so when the loop stops the clock lands at limit >= cal_base_
     // and later schedules can never target a tick below the anchor.
-    while (!empty()) {
-        if (peekEarliestTick(limit) > limit)
-            break;
-        step();
+    while (stepUntil(limit)) {
     }
     if (now_ < limit)
         now_ = limit;
@@ -364,13 +393,14 @@ EventQueue::runUntil(Tick limit)
 void
 EventQueue::reset()
 {
-    for (Bucket &b : buckets_) {
-        for (Event *ev = b.head; ev != nullptr;) {
-            Event *next = ev->next;
-            release(ev);
-            ev = next;
-        }
-        b.head = b.tail = nullptr;
+    // The rest of a running chain is linked nowhere; drop it first.
+    if (ready_ != nullptr)
+        releaseMembers(ready_, ready_last_);
+    ready_ = ready_last_ = nullptr;
+    for (Event *&head : slots0_) {
+        if (head != nullptr)
+            releaseGroup(head);
+        head = nullptr;
     }
     std::fill(occ0_.begin(), occ0_.end(), 0);
     cal_count_ = 0;
@@ -378,7 +408,7 @@ EventQueue::reset()
         for (Bucket &b : w.slots) {
             for (Event *ev = b.head; ev != nullptr;) {
                 Event *next = ev->next;
-                release(ev);
+                releaseGroup(ev);
                 ev = next;
             }
             b.head = b.tail = nullptr;
@@ -388,13 +418,15 @@ EventQueue::reset()
     }
     wheel_count_ = 0;
     for (FarEvent &fe : heap_)
-        release(fe.ev);
+        releaseGroup(fe.ev);
     heap_.clear();
     cal_base_ = 0;
     cal_scan_ = 0;
     now_ = 0;
     next_seq_ = 0;
     executed_ = 0;
+    popped_ = 0;
+    pending_ = 0;
 }
 
 } // namespace camllm

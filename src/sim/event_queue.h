@@ -17,6 +17,16 @@
  * amortized whether events are nanoseconds or whole simulated seconds
  * apart. Only events beyond the combined wheel span (window x 1024^4
  * ticks, ~2 weeks at the default window) fall back to a binary heap.
+ *
+ * Device models schedule in same-tick bursts (every die of a channel
+ * finishes a tile in the same tR), so the calendar stores a tick's
+ * events as chains: an event scheduled behind a calendar entry of the
+ * same tick joins that entry's chain instead of being linked itself.
+ * Only chain heads are linked, cascaded, heap-migrated and popped; a
+ * popped head's chain then runs in schedule order without touching
+ * the calendar again. executed() still counts callbacks, one per
+ * scheduled event; popped() counts the heads, which is what chaining
+ * cuts.
  */
 
 #ifndef CAMLLM_SIM_EVENT_QUEUE_H
@@ -41,7 +51,7 @@ namespace camllm {
  * [cal_base_, cal_base_ + W) is always W-aligned):
  *  - an event's level is decided by the highest base-kUpperSlots
  *    "digit" of its tick (counting from the W-aligned low bits) that
- *    differs from cal_base_'s: no digit differs -> level-0 bucket
+ *    differs from cal_base_'s: no digit differs -> level-0 slot
  *    `when & (W - 1)`; digit k differs (k = 1..kUpperLevels) ->
  *    wheel k, slot index = that digit; beyond the top wheel's block
  *    -> the far-future heap;
@@ -51,12 +61,24 @@ namespace camllm {
  *    (re-pulling now-in-block heap events in (when, seq) order) — so
  *    a pending event's level only ever decreases, each drain re-adds
  *    events in their original insertion order, and a newer event can
- *    never land in a lower level than an older same-tick one. That
- *    keeps same-tick FIFO order exact end to end;
+ *    never land in a lower level than an older same-tick one. Every
+ *    pending event of one tick therefore sits in one slot, in seq
+ *    order, which keeps same-tick FIFO order exact end to end;
  *  - levels are disjoint in time: every level-k event precedes every
  *    level-(k+1) event (they differ from cal_base_ at a higher
  *    digit), so the earliest pending event is always in the lowest
- *    non-empty level, found by an occupancy-bitmap scan.
+ *    non-empty level, found by an occupancy-bitmap scan;
+ *  - chains: a slot links only chain heads. An event bound for a slot
+ *    whose last head has the same tick — always so at level 0, where
+ *    a slot is one tick wide — joins that head's chain instead (a
+ *    cascaded head brings its own chain along). By the invariant
+ *    above that head's chain holds the newest pending events of the
+ *    tick, so the joiner would have run right after them: a head and
+ *    its chain run back to back in seq order. Heap entries never
+ *    chain at schedule time. An event scheduled while a chain runs
+ *    finds its head already unlinked and starts a new head, so it
+ *    still runs after the rest of that chain. executed() counts
+ *    callbacks; popped() counts heads, and only pops fall.
  */
 class EventQueue
 {
@@ -67,9 +89,8 @@ class EventQueue
     /**
      * @param window_ticks level-0 calendar width in ticks; rounded up
      * to a power of two and clamped to [kMinWindow, kMaxWindow]. 0
-     * selects the CAMLLM_EQ_WINDOW environment variable when set, else
-     * kDefaultWindow. The upper wheels scale with the window (slot
-     * width of wheel k is window x 1024^(k-1) ticks), so a wider
+     * selects kDefaultWindow. The upper wheels scale with the window
+     * (slot width of wheel k is window x 1024^(k-1) ticks), so a wider
      * window also widens the span the heap never sees.
      */
     explicit EventQueue(std::size_t window_ticks = 0);
@@ -81,17 +102,19 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Total number of events executed so far. */
+    /** Total number of callbacks executed so far. */
     std::uint64_t executed() const { return executed_; }
 
-    /** Number of events still pending. */
-    std::size_t
-    pending() const
-    {
-        return cal_count_ + wheel_count_ + heap_.size();
-    }
+    /**
+     * Chain heads popped from the calendar so far; each runs with its
+     * chain, so executed() / popped() is the mean chain length.
+     */
+    std::uint64_t popped() const { return popped_; }
 
-    bool empty() const { return pending() == 0; }
+    /** Number of events still pending, chained ones included. */
+    std::size_t pending() const { return pending_; }
+
+    bool empty() const { return pending_ == 0; }
 
     /**
      * Schedule callable @p fn at absolute time @p when.
@@ -109,6 +132,7 @@ class EventQueue
         Event *ev = acquire(when);
         ev->fn.emplace(std::forward<F>(fn));
         enqueue(ev);
+        ++pending_;
     }
 
     /** Schedule @p fn @p delay ticks from now. */
@@ -125,8 +149,12 @@ class EventQueue
      */
     void reserve(std::size_t events);
 
-    /** Execute the single earliest event. @return false if none left. */
-    bool step();
+    /**
+     * Execute the single earliest event (one callback: a popped head
+     * leaves the rest of its chain to the following calls).
+     * @return false if none left.
+     */
+    bool step() { return stepUntil(kTickMax); }
 
     /** Run until the queue drains. */
     void run();
@@ -137,7 +165,10 @@ class EventQueue
      */
     Tick runUntil(Tick limit);
 
-    /** Drop all pending events and rewind the clock to zero. */
+    /**
+     * Drop all pending events and rewind the clock to zero. Called
+     * from a callback, it also drops the rest of the running chain.
+     */
     void reset();
 
     /**
@@ -147,7 +178,7 @@ class EventQueue
     std::size_t poolAllocated() const { return pool_allocated_; }
 
     /** Realized level-0 calendar width in ticks (power of two). */
-    std::size_t windowTicks() const { return buckets_.size(); }
+    std::size_t windowTicks() const { return slots0_.size(); }
 
     /** Events currently parked in the far-future heap (beyond the
      *  combined wheel span); exposed so tests can pin when the heap
@@ -165,12 +196,6 @@ class EventQueue
     /** Upper wheels above the level-0 window. */
     static constexpr unsigned kUpperLevels = 4;
 
-    /** Window a default-constructed queue uses: CAMLLM_EQ_WINDOW when
-     *  set to a valid count, otherwise kDefaultWindow. The variable
-     *  must be a plain base-10 tick count >= 1; anything else (trailing
-     *  garbage, "1e6", empty, out of range) warns and is ignored. */
-    static std::size_t defaultWindow();
-
   private:
     /** Event records per pool chunk. */
     static constexpr std::size_t kChunk = 512;
@@ -179,7 +204,14 @@ class EventQueue
     {
         Tick when = 0;
         std::uint64_t seq = 0;
-        Event *next = nullptr; ///< bucket FIFO / free-list link
+        Event *next = nullptr; ///< wheel-slot FIFO / free-list link
+        /**
+         * Chain link. On a head: the last member of its chain, or
+         * nullptr when it has none. On a member: the next member,
+         * the last one pointing back to the first (a ring, so a head
+         * reaches both chain ends through this one pointer).
+         */
+        Event *chain = nullptr;
         InlineCallback fn;
     };
 
@@ -194,7 +226,7 @@ class EventQueue
      * indexed by the tick's level digit `(when >> shift) % kUpperSlots`.
      * It holds exactly the events inside cal_base_'s 2^(shift+10)-tick
      * block whose digit differs from cal_base_'s; a slot keeps its
-     * events in insertion order, and cascading drains the earliest
+     * heads in insertion order, and cascading drains the earliest
      * occupied slot at/after cal_base_'s digit into the levels below
      * (the slot span is exactly the next level's whole block).
      */
@@ -202,8 +234,8 @@ class EventQueue
     {
         std::array<Bucket, kUpperSlots> slots;
         std::array<std::uint64_t, kUpperSlots / 64> occ{};
-        std::size_t count = 0;
-        unsigned shift = 0; ///< log2 slot width in ticks
+        std::size_t count = 0; ///< heads across this wheel's slots
+        unsigned shift = 0;    ///< log2 slot width in ticks
     };
 
     /** Far-future reference; heap-ordered by (when, seq). */
@@ -221,11 +253,21 @@ class EventQueue
     Event *acquire(Tick when);
     /** Destroy the callback and return the node to the pool. */
     void release(Event *ev);
+    /** Release chain members @p first through @p last, in ring
+     *  order. */
+    void releaseMembers(Event *first, Event *last);
+    /** Release @p head and every member of its chain. */
+    void releaseGroup(Event *head);
     Event *allocate();
     void addChunk();
-    /** Link a fully-constructed event into its level or the heap. */
+    /**
+     * Put head @p ev (with any chain it carries) into its level: onto
+     * the chain of a same-tick head ending its slot, else linked as a
+     * new head, else (beyond the wheels) into the heap.
+     */
     void enqueue(Event *ev);
-    static void appendToBucket(Bucket &b, Event *ev);
+    /** Append head @p ev and its chain behind @p head's chain. */
+    static void joinChain(Event *head, Event *ev);
     /**
      * Jump cal_base_ to the heap's earliest tick (W-aligned) and pull
      * every heap event inside the new top-wheel block into the
@@ -233,30 +275,40 @@ class EventQueue
      */
     void migrateFromHeap();
     /**
-     * Tick of the earliest pending event, lazily cascading upper
-     * wheels and migrating the heap as needed; pending() must be
-     * nonzero. Re-anchors (cal_base_ advances) commit only while the
+     * Tick of the earliest pending head, lazily cascading upper
+     * wheels and migrating the heap as needed; some head must be
+     * linked. Re-anchors (cal_base_ advances) commit only while the
      * new anchor is <= @p commit_limit; past that the return value is
      * merely a lower bound > commit_limit (the anchor is untouched,
      * so a caller that stops at commit_limit never leaves cal_base_
      * ahead of the clock — which is what keeps later schedules at
-     * ticks below the anchor impossible).
+     * ticks below the anchor impossible). A return value <=
+     * @p commit_limit is the tick of a level-0 head.
      */
     Tick peekEarliestTick(Tick commit_limit);
-    /** Unlink and return the first pending event. */
-    Event *popEarliest();
+    /**
+     * Run the earliest pending callback if its tick is <= @p limit:
+     * the next member of the running chain, else a newly popped head.
+     * @return false if nothing ran.
+     */
+    bool stepUntil(Tick limit);
 
-    std::vector<Bucket> buckets_; ///< level 0: one tick per bucket
+    std::vector<Event *> slots0_; ///< level 0: one tick, one head each
     std::vector<std::uint64_t> occ0_; ///< level-0 occupancy bitmap
-    Tick bucket_mask_ = 0; ///< buckets_.size() - 1 (power of two)
-    std::size_t cal_count_ = 0;
+    Tick slot_mask_ = 0; ///< slots0_.size() - 1 (power of two)
+    std::size_t cal_count_ = 0; ///< heads in level 0
     Tick cal_base_ = 0; ///< W-aligned window start (the level anchor)
-    Tick cal_scan_ = 0; ///< resume point for the earliest-bucket scan
+    Tick cal_scan_ = 0; ///< resume point for the earliest-slot scan
 
     std::array<Wheel, kUpperLevels> wheels_;
-    std::size_t wheel_count_ = 0; ///< events across all upper wheels
+    std::size_t wheel_count_ = 0; ///< heads across all upper wheels
 
     std::vector<FarEvent> heap_;
+
+    /** Rest of the running chain: next member to run (nullptr when
+     *  no chain is running) and the chain's last member. */
+    Event *ready_ = nullptr;
+    Event *ready_last_ = nullptr;
 
     std::vector<std::unique_ptr<Event[]>> chunks_;
     Event *free_ = nullptr;
@@ -267,6 +319,8 @@ class EventQueue
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t popped_ = 0;
+    std::size_t pending_ = 0;
 };
 
 } // namespace camllm

@@ -91,6 +91,48 @@ TEST(EccCodeword, PageUcpAggregatesCodewords)
     EXPECT_GT(page, cw);
 }
 
+// The prebuilt log-binomial table must reproduce, bit for bit, the
+// tail summed term by term with every coefficient recomputed (the
+// reference below), so the fault layer's ladders never move.
+TEST(EccCodeword, TailTableMatchesDirectSumBitForBit)
+{
+    const auto direct = [](double ber, std::uint32_t t,
+                           std::uint32_t bytes) {
+        if (ber <= 0.0)
+            return 0.0;
+        const double p = std::min(ber, 0.499);
+        const std::uint64_t n = std::uint64_t(bytes) * 8;
+        if (t >= n)
+            return 0.0;
+        const double lp = std::log(p);
+        const double lq = std::log1p(-p);
+        const double lgn = std::lgamma(double(n) + 1.0);
+        double cdf = 0.0;
+        for (std::uint64_t k = 0; k <= t; ++k) {
+            const double lc = lgn - std::lgamma(double(k) + 1.0) -
+                              std::lgamma(double(n - k) + 1.0);
+            cdf += std::exp(lc + double(k) * lp + double(n - k) * lq);
+        }
+        return std::clamp(1.0 - cdf, 0.0, 1.0);
+    };
+    for (std::uint32_t bytes : {1u, 512u, 1024u, 2048u}) {
+        for (std::uint32_t t : {0u, 1u, 8u, 16u, 32u, 40u}) {
+            const ecc::CodewordTail tail(t, bytes);
+            for (double ber = 1e-5; ber < 0.7; ber *= 1.7) {
+                const double cw = direct(ber, t, bytes);
+                EXPECT_EQ(tail.failProb(ber), cw)
+                    << "bytes=" << bytes << " t=" << t << " ber=" << ber;
+                const double page =
+                    cw <= 0.0 ? 0.0
+                              : -std::expm1(double((16384 + bytes - 1) /
+                                                   bytes) *
+                                            std::log1p(-cw));
+                EXPECT_EQ(tail.pageUcp(ber, 16384), page);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // FaultModel with the co-design knobs
 // ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -257,16 +259,6 @@ TEST(EventQueueWindow, DefaultAndRounding)
     EXPECT_EQ(EventQueue(1).windowTicks(), EventQueue::kMinWindow);
 }
 
-TEST(EventQueueWindow, EnvVarSelectsDefault)
-{
-    setenv("CAMLLM_EQ_WINDOW", "256", 1);
-    EXPECT_EQ(EventQueue().windowTicks(), 256u);
-    // An explicit width still wins over the environment.
-    EXPECT_EQ(EventQueue(32).windowTicks(), 32u);
-    unsetenv("CAMLLM_EQ_WINDOW");
-    EXPECT_EQ(EventQueue().windowTicks(), EventQueue::kDefaultWindow);
-}
-
 // Events repeatedly straddling a tiny calendar window (some in the
 // current window, some migrating through the far-future heap) must
 // still execute in exact (tick, insertion) order.
@@ -309,20 +301,6 @@ TEST(EventQueueWindow, NestedSchedulingAcrossBoundary)
     eq.schedule(31, [&] { times.push_back(eq.now()); });
     eq.run();
     EXPECT_EQ(times, (std::vector<Tick>{15, 16, 31, 500}));
-}
-
-TEST(EventQueueWindow, EnvVarRejectsGarbage)
-{
-    // strtol would silently accept a valid prefix; the queue must
-    // insist on a fully-consumed plain decimal count and fall back to
-    // the default (with a warning) otherwise.
-    for (const char *bad : {"1024abc", "1e6", "", "abc", "-16", "0",
-                            "999999999999999999999999"}) {
-        setenv("CAMLLM_EQ_WINDOW", bad, 1);
-        EXPECT_EQ(EventQueue().windowTicks(), EventQueue::kDefaultWindow)
-            << "CAMLLM_EQ_WINDOW='" << bad << "'";
-    }
-    unsetenv("CAMLLM_EQ_WINDOW");
 }
 
 // Events exactly at (and adjacent to) every wheel-block boundary, each
@@ -505,6 +483,276 @@ TEST(EventQueue, HeapMigrationKeepsFifoWithinTick)
     eq.schedule(far, [&] { order.push_back(2); }); // via heap
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 2, 1}));
+}
+
+// --- same-tick chains ----------------------------------------------------
+
+// A same-tick burst is linked, cascaded and popped as one head: the
+// die pattern (every die finishing in the same tR) costs one pop.
+TEST(EventQueueChain, SameTickBurstCostsOnePop)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 16; ++i)
+        eq.schedule(30'000, [&order, i] { order.push_back(i); });
+    EXPECT_EQ(eq.pending(), 16u);
+    eq.run();
+    std::vector<int> want(16);
+    for (int i = 0; i < 16; ++i)
+        want[i] = i;
+    EXPECT_EQ(order, want);
+    EXPECT_EQ(eq.executed(), 16u);
+    EXPECT_EQ(eq.popped(), 1u);
+}
+
+// step() runs exactly one callback, also inside a chain; the rest of
+// the chain stays pending for the next calls.
+TEST(EventQueueChain, StepRunsOneCallbackOfAChain)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(4, [&order, i] { order.push_back(i); });
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(eq.pending(), 2u);
+    EXPECT_EQ(eq.popped(), 1u);
+    ASSERT_TRUE(eq.step());
+    ASSERT_TRUE(eq.step());
+    EXPECT_FALSE(eq.step());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(eq.popped(), 1u);
+}
+
+// An event scheduled at the current tick from inside a chain member
+// starts a new head (the running one is unlinked), so it runs after
+// every remaining member of the running chain, in schedule order.
+TEST(EventQueueChain, ZeroDelayFromMemberRunsAfterRestOfChain)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i)
+        eq.schedule(10, [&eq, &order, i] {
+            order.push_back(i);
+            if (i == 0 || i == 2) {
+                eq.schedule(10, [&order, i] { order.push_back(10 + i); });
+                eq.scheduleIn(0, [&order, i] { order.push_back(20 + i); });
+            }
+        });
+    eq.run();
+    EXPECT_EQ(order,
+              (std::vector<int>{0, 1, 2, 3, 4, 10, 20, 12, 22}));
+    EXPECT_EQ(eq.now(), 10u);
+    // The four follow-ups chain behind one new head.
+    EXPECT_EQ(eq.popped(), 2u);
+}
+
+// A wheel slot spans many ticks: an event whose slot ends with a head
+// of another tick is linked as a new head, not chained. Cascading the
+// slot re-joins same-tick heads, and FIFO order holds throughout.
+TEST(EventQueueChain, WheelSlotTailOfOtherTickDoesNotChain)
+{
+    EventQueue eq(16); // ticks 96..111 share one wheel-1 slot
+    std::vector<int> order;
+    auto at = [&](Tick when, int id) {
+        eq.schedule(when, [&order, id] { order.push_back(id); });
+    };
+    at(100, 0);
+    at(101, 1); // other tick: new head
+    at(100, 2); // slot ends with tick 101: new head, not chained
+    at(100, 3); // chains behind 2
+    at(101, 4); // slot ends with tick 100: new head
+    EXPECT_EQ(eq.pending(), 5u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 1, 4}));
+    // The cascade into level 0 folds each tick into one head.
+    EXPECT_EQ(eq.popped(), 2u);
+}
+
+// Events parked in the far-future heap never chain there; migrated
+// into the wheels they become one chain, ahead of same-tick events
+// scheduled after the migration, which chain behind them.
+TEST(EventQueueChain, HeapMigratedEventsStayAheadOfLaterChained)
+{
+    EventQueue eq(16); // wheels end at 2^44 ticks
+    const Tick far = (Tick(1) << 45) + 100;
+    std::vector<int> order;
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(far, [&order, i] { order.push_back(i); });
+    eq.schedule(far - 5, [&eq, &order, far] {
+        order.push_back(-1);
+        for (int i = 3; i < 5; ++i)
+            eq.schedule(far, [&order, i] { order.push_back(i); });
+    });
+    EXPECT_EQ(eq.heapPending(), 4u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+    EXPECT_EQ(eq.popped(), 2u);
+    EXPECT_EQ(eq.executed(), 6u);
+}
+
+// pending() counts chained events, runUntil() stops between ticks,
+// and reset() drops whole chains from every level.
+TEST(EventQueueChain, PendingRunUntilAndResetWithChains)
+{
+    EventQueue eq(16);
+    int hits = 0;
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(5, [&hits] { ++hits; });
+    for (int i = 0; i < 4; ++i)
+        eq.schedule(20, [&hits] { ++hits; });
+    for (int i = 0; i < 3; ++i)
+        eq.schedule(100000, [&hits] { ++hits; }); // upper wheel
+    EXPECT_EQ(eq.pending(), 15u);
+    EXPECT_EQ(eq.runUntil(10), 10u);
+    EXPECT_EQ(hits, 8);
+    EXPECT_EQ(eq.pending(), 7u);
+    ASSERT_TRUE(eq.step()); // first of the tick-20 chain
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.pending(), 6u);
+    EXPECT_EQ(eq.runUntil(20), 20u); // the rest of that chain
+    EXPECT_EQ(hits, 12);
+    EXPECT_EQ(eq.pending(), 3u);
+    EXPECT_EQ(eq.popped(), 2u);
+    eq.reset();
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.popped(), 0u);
+    EXPECT_EQ(eq.executed(), 0u);
+    for (int i = 0; i < 4; ++i)
+        eq.schedule(3, [&hits] { ++hits; });
+    eq.run();
+    EXPECT_EQ(hits, 16);
+    EXPECT_EQ(eq.popped(), 1u);
+}
+
+// reset() from inside a chain member drops the rest of the running
+// chain (releasing its captures) just as it drops everything linked;
+// the queue is then usable from a cold clock.
+TEST(EventQueueChain, ResetFromCallbackDropsRestOfChain)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(0);
+    std::vector<int> order;
+    for (int i = 0; i < 6; ++i)
+        eq.schedule(7, [&eq, &order, i, token] {
+            order.push_back(i);
+            if (i == 2) {
+                eq.reset();
+                eq.schedule(1, [&order] { order.push_back(100); });
+            }
+        });
+    eq.schedule(9, [token] {});
+    EXPECT_EQ(token.use_count(), 8);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 100}));
+    EXPECT_EQ(eq.now(), 1u);
+    EXPECT_EQ(eq.executed(), 1u); // counted afresh after the reset
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+// Every pending chain member's capture is destroyed on reset() and on
+// queue destruction, at every level.
+TEST(EventQueueChain, PendingChainCapturesReleased)
+{
+    auto token = std::make_shared<int>(0);
+    const Tick ticks[] = {40, 40, 40, 200000, 200000, Tick(1) << 45};
+    {
+        EventQueue eq(16);
+        for (Tick t : ticks)
+            for (int i = 0; i < 4; ++i)
+                eq.schedule(t, [token] {});
+        EXPECT_EQ(token.use_count(), 25);
+        eq.reset();
+        EXPECT_EQ(token.use_count(), 1);
+        for (Tick t : ticks)
+            for (int i = 0; i < 4; ++i)
+                eq.schedule(t, [token] {});
+        EXPECT_TRUE(eq.step()); // leaves a running chain behind
+        EXPECT_EQ(token.use_count(), 24);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+// Differential test against a std::map<(when, seq)> reference: bursty
+// same-tick schedules (zero-delay ones from callbacks included) at
+// every wheel level, with the window at its minimum and its default.
+void
+chainDifferential(std::size_t window, std::uint64_t seed)
+{
+    constexpr int kMaxEvents = 30000;
+    // Delays: mostly same-tick bursts, tR-like and gap-like spans,
+    // and the odd far-future one for the upper wheels and the heap.
+    const Tick delays[] = {0,       0,       0,    7,    30'000,
+                           30'000,  1024,    4096, 100'000,
+                           1 << 22, Tick(1) << 36, Tick(1) << 45};
+    // Children of event `id` depend only on (seed, id), so both sides
+    // replay the same workload for as long as their orders agree.
+    auto children = [&](int id, Tick now, auto &&sched) {
+        Rng r(seed * 1000003 + std::uint64_t(id));
+        const int n = int(r.below(4));
+        const Tick d = delays[r.below(std::size(delays))];
+        for (int c = 0; c < n; ++c)
+            sched(now + (r.below(3) == 0 ? delays[r.below(std::size(delays))]
+                                         : d));
+    };
+
+    using Fired = std::vector<std::pair<Tick, int>>;
+    Fired got;
+    {
+        EventQueue eq(window);
+        int next_id = 0;
+        std::function<void(Tick)> sched = [&](Tick when) {
+            if (next_id >= kMaxEvents)
+                return;
+            const int id = next_id++;
+            eq.schedule(when, [&, id] {
+                got.emplace_back(eq.now(), id);
+                children(id, eq.now(), sched);
+            });
+        };
+        Rng roots(seed);
+        for (int i = 0; i < 200; ++i)
+            sched(Tick(roots.below(4)) * 30'000);
+        eq.run();
+        EXPECT_EQ(eq.executed(), got.size());
+        EXPECT_LT(eq.popped() * 2, eq.executed()); // chains engaged
+    }
+
+    Fired want;
+    {
+        std::map<std::pair<Tick, std::uint64_t>, int> ref;
+        std::uint64_t seq = 0;
+        int next_id = 0;
+        auto sched = [&](Tick when) {
+            if (next_id >= kMaxEvents)
+                return;
+            ref.emplace(std::make_pair(when, seq++), next_id++);
+        };
+        Rng roots(seed);
+        for (int i = 0; i < 200; ++i)
+            sched(Tick(roots.below(4)) * 30'000);
+        while (!ref.empty()) {
+            const auto [key, id] = *ref.begin();
+            ref.erase(ref.begin());
+            want.emplace_back(key.first, id);
+            children(id, key.first, sched);
+        }
+    }
+    EXPECT_EQ(got.size(), std::size_t(kMaxEvents));
+    EXPECT_EQ(got, want);
+}
+
+TEST(EventQueueChain, RandomizedDifferentialWindow16)
+{
+    chainDifferential(16, 11);
+    chainDifferential(16, 12);
+}
+
+TEST(EventQueueChain, RandomizedDifferentialWindow1024)
+{
+    chainDifferential(1024, 21);
+    chainDifferential(1024, 22);
 }
 
 } // namespace
