@@ -2,7 +2,8 @@
 """Diff fresh BENCH_*.json files against the committed baselines.
 
 Usage (from the repository root, after building into BUILD_DIR and
-running bench_micro_kernels and bench_serving there):
+running bench_micro_kernels, bench_serving and bench_fig09_end_to_end
+there):
 
     python3 bench/perf_diff.py [BUILD_DIR]     # default: build
 
@@ -57,6 +58,16 @@ SERVING_EXACT = [
     'reliability_sweep.bump_ecc32_r1000.wear_spread_pe',
     'reliability_sweep.bump_ecc32_r1000.refresh_mb',
 ]
+
+
+
+
+def fig09_exact_keys(base):
+    """The single-stream decode figure: every tokens/s point and every
+    headline ratio. They come from the same read-compute path serving
+    runs, so they must reproduce the committed baseline exactly."""
+    return [k for k in base
+            if k.endswith('.tokens_per_s') or k.startswith('headline.')]
 
 
 def load(path):
@@ -127,14 +138,16 @@ def main(build_dir):
              'fleet.events_per_s',
          ])
 
-    bad = exact(load(os.path.join(ROOT, 'BENCH_serving.json')),
-                load(os.path.join(build_dir, 'BENCH_serving.json')),
-                SERVING_EXACT)
-    if bad:
-        print(f'::error::{bad} deterministic serving key(s) differ from '
-              f'the committed BENCH_serving.json')
-        return 1
-    return 0
+    bad = 0
+    for name, keys in (('BENCH_serving.json', lambda b: SERVING_EXACT),
+                       ('BENCH_fig09.json', fig09_exact_keys)):
+        base = load(os.path.join(ROOT, name))
+        n = exact(base, load(os.path.join(build_dir, name)), keys(base))
+        if n:
+            print(f'::error::{n} deterministic key(s) differ from the '
+                  f'committed {name}')
+        bad += n
+    return 1 if bad else 0
 
 
 if __name__ == '__main__':

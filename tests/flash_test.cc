@@ -2,19 +2,25 @@
  * @file
  * Unit tests for the flash substrate: geometry/addressing, the
  * priority channel bus, die pipelines (read and read-compute), the
- * per-channel scheduler, and weight placement.
+ * per-channel scheduler, weight placement, and a seeded channel-level
+ * differential table that pins every completion tick.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/rng.h"
 #include "flash/address.h"
 #include "flash/channel_engine.h"
 #include "flash/flash_system.h"
@@ -757,6 +763,201 @@ TEST(FlashSystem, UtilizationBetweenZeroAndOne)
     double u = fs.avgChannelUtilization(eq.now());
     EXPECT_GT(u, 0.0);
     EXPECT_LE(u, 1.0);
+}
+
+// --- channel differential table ------------------------------------------
+
+/**
+ * Expand @p seed into one small FlashSystem run and fold it into a
+ * digest. A seed mixes 1-3 clients, full and partial tiles, a tile
+ * window of 1-4, compute time equal to tR or not, Slice Control on or
+ * off, sliced and unsliced reads, follow-up work submitted from the
+ * completion handlers, and one of four fault modes: none, an armed
+ * but inert slowdown (factor 1.0), a failing ECC ladder, or a channel
+ * lost mid-tile. The digest covers the completion log as (tick,
+ * client, op, kind, bytes) and, per channel, the page, sense, byte,
+ * busy-tick and grant counters plus every die's computed pages.
+ */
+std::uint64_t
+channelRunDigest(std::uint64_t seed)
+{
+    Rng rng(seed);
+    const std::uint32_t fault_mode =
+        rng.chance(0.5) ? 0 : std::uint32_t(1 + rng.below(3));
+    FlashParams p = testParams();
+    p.geometry.channels =
+        fault_mode == 3 ? 2 : std::uint32_t(1 + rng.below(2));
+    p.geometry.chips_per_channel = std::uint32_t(1 + rng.below(2));
+    p.geometry.dies_per_chip = std::uint32_t(1 + rng.below(4));
+    const std::uint32_t dies = p.geometry.diesPerChannel();
+    // Compute time: tR (the matched design point), one other value
+    // for every tile (t_reg_move, tR/2, tR + t_reg_move, 2 tR), or a
+    // fresh draw per tile.
+    const std::uint64_t compute_mode = rng.below(3);
+    const Tick fixed_compute = std::array<Tick, 4>{50, 500, 1050,
+                                                   2000}[rng.below(4)];
+    const std::uint32_t window = std::uint32_t(1 + rng.below(4));
+    const bool slice_control = rng.chance(0.75);
+
+    EventQueue eq;
+    FlashSystem fs(eq, p, window, slice_control);
+    if (fault_mode != 0) {
+        FaultSpec spec;
+        spec.seed = seed;
+        if (fault_mode == 1)
+            spec.channel_faults.push_back({0, 1.0, 0, Tick(1) << 30, false});
+        if (fault_mode == 2)
+            spec.ucp_rate = 0.3;
+        if (fault_mode == 3)
+            spec.channel_faults.push_back(
+                {std::uint32_t(rng.below(2)), 1.0,
+                 Tick(2000 + rng.below(6000)), 0, true});
+        fs.armFaults(spec);
+    }
+
+    struct Record
+    {
+        Tick tick;
+        ClientId client;
+        std::uint64_t op;
+        Completion::Kind kind;
+        std::uint32_t bytes;
+    };
+    std::vector<Record> log;
+
+    const auto makeTile = [&](Rng &r, ClientId client, std::uint64_t op) {
+        RcTileWork t;
+        t.client = client;
+        t.op_id = op;
+        t.cores_used = r.chance(0.6)
+                           ? dies
+                           : std::uint32_t(1 + r.below(dies));
+        t.input_bytes = std::uint32_t(16 + r.below(113));
+        t.out_bytes_per_core = std::uint32_t(8 + r.below(57));
+        t.compute_time = compute_mode == 0   ? p.timing.t_read
+                         : compute_mode == 1 ? fixed_compute
+                                             : Tick(50 + r.below(1951));
+        return t;
+    };
+    const auto makeRead = [&](Rng &r, ClientId client, std::uint64_t op) {
+        ReadPageJob j;
+        j.client = client;
+        j.op_id = op;
+        j.bytes = std::uint32_t(1 + r.below(p.geometry.page_bytes));
+        j.sliced = r.chance(0.7);
+        return j;
+    };
+
+    // Each client answers every fourth completion with one more tile
+    // or read from its own stream while its budget lasts.
+    struct Client
+    {
+        Rng rng;
+        ClientId id = 0;
+        std::uint32_t seen = 0;
+        std::uint32_t follow_ups = 0;
+    };
+    std::vector<Client> clients(1 + rng.below(3));
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+        clients[c].rng = Rng(seed * 131 + c);
+        clients[c].follow_ups = std::uint32_t(rng.below(12));
+        clients[c].id = fs.connect([&, c](const Completion &done) {
+            log.push_back({eq.now(), done.client, done.op_id, done.kind,
+                           done.bytes});
+            Client &me = clients[c];
+            if (++me.seen % 4 != 0 || me.follow_ups == 0)
+                return;
+            --me.follow_ups;
+            const std::uint32_t ch =
+                std::uint32_t(me.rng.below(p.geometry.channels));
+            if (me.rng.chance(0.6))
+                fs.submitTile(ch, makeTile(me.rng, me.id, 900 + me.seen));
+            else
+                fs.submitRead(ch, makeRead(me.rng, me.id, 900 + me.seen));
+        });
+    }
+
+    // Open-loop batches: every client submits 3-6 batches of tiles
+    // and reads, interleaved, at seeded ticks.
+    for (const Client &cl : clients) {
+        const std::uint64_t batches = 3 + rng.below(4);
+        for (std::uint64_t b = 0; b < batches; ++b) {
+            const Tick at = Tick(rng.below(12000));
+            const std::uint32_t ch =
+                std::uint32_t(rng.below(p.geometry.channels));
+            const std::uint64_t tiles = rng.below(6);
+            const std::uint64_t reads = rng.below(4);
+            const std::uint64_t op = 10 * b + 1;
+            std::vector<RcTileWork> ts;
+            std::vector<ReadPageJob> rs;
+            for (std::uint64_t i = 0; i < tiles; ++i)
+                ts.push_back(makeTile(rng, cl.id, op));
+            for (std::uint64_t i = 0; i < reads; ++i)
+                rs.push_back(makeRead(rng, cl.id, op + 1));
+            eq.schedule(at, [&fs, ch, ts, rs] {
+                for (std::size_t i = 0; i < std::max(ts.size(), rs.size());
+                     ++i) {
+                    if (i < ts.size())
+                        fs.submitTile(ch, ts[i]);
+                    if (i < rs.size())
+                        fs.submitRead(ch, rs[i]);
+                }
+            });
+        }
+    }
+    eq.run();
+
+    Fnv1a h;
+    h.add(std::uint64_t(log.size()));
+    for (const Record &r : log) {
+        h.add(r.tick).add(r.client).add(r.op);
+        h.add(std::uint8_t(r.kind)).add(r.bytes);
+    }
+    for (std::uint32_t c = 0; c < p.geometry.channels; ++c) {
+        ChannelEngine &ce = fs.channel(c);
+        h.add(ce.pagesComputed()).add(ce.arrayReads());
+        h.add(ce.bus().bytesHigh()).add(ce.bus().bytesLow());
+        h.add(ce.bus().busy().busyTicks()).add(ce.bus().grants());
+        for (std::size_t d = 0; d < ce.dieCount(); ++d)
+            h.add(ce.die(d).pagesComputed());
+    }
+    return h.value();
+}
+
+// Digests of seeds 1..50, recorded on the per-die read-compute model
+// (one event per die and pipeline stage), before the lockstep dies of
+// a tile were stepped as groups. A change to how a channel advances
+// its dies must keep every one.
+constexpr std::uint64_t kChannelDigests[] = {
+    0x7858ba947b7749f2, 0xb8fb39972e60a802, 0xab9813ef3a5ec565,
+    0x68b80c5d761e0bb0, 0x72d49aae22d99ea9, 0xf3bcce91abd5234f,
+    0xa53735c055bc77b4, 0x2dcd31a9c95b0636, 0x21016faa3577d4e8,
+    0x04a24fa73687c785, 0x4d16a57153798e57, 0xdd27114a9499fded,
+    0x0b49c22d8b5b5276, 0x3fe78ec9ec1ebfc4, 0xc3bd3abf1ddf03fd,
+    0x2b650ce5a529b7b5, 0x0595b4eeddc9e3b2, 0x34db0424324ed96f,
+    0xc0790062421d589a, 0x1cb20168ce87a2c2, 0xe1a6548a9331e286,
+    0x4cd9b7e9390ca98f, 0x1bb23fc29a87f5fa, 0xd6444c3974c7e0fd,
+    0xa90429dd1918c472, 0xbb49d63079c77a62, 0xae141c286a5a518a,
+    0xa6786355aa4d39f2, 0x7001f716da9a6522, 0x90b9bc260f84f65d,
+    0x9df973a25b2c14b4, 0x23556f44bd145c3e, 0xd78cdc73e0895596,
+    0x2563ae04589527a0, 0x7e3b7413095ef0fa, 0x9d6853e1b385dfc9,
+    0xf1e08e0c72967a52, 0x0ac4e375553d11c6, 0x23a0d2fbef4a192e,
+    0x3131714f21455862, 0xaaa6da632054e9a9, 0x00e32e1685c4eaf0,
+    0x4b9e3e16bcc20849, 0xe6836dc1c93d3f31, 0x08e0a61f858831af,
+    0x2647a14577211289, 0x0d3dac2116f6682e, 0xd5fd01b41bbacd92,
+    0x310a4dce581b5fb4, 0xe925bb08a2d79e41,
+};
+
+TEST(ChannelDifferential, SeededRunsMatchRecordedDigests)
+{
+    for (std::size_t i = 0; i < std::size(kChannelDigests); ++i) {
+        char got[24], want[24];
+        std::snprintf(got, sizeof got, "0x%016llx",
+                      (unsigned long long)channelRunDigest(i + 1));
+        std::snprintf(want, sizeof want, "0x%016llx",
+                      (unsigned long long)kChannelDigests[i]);
+        EXPECT_STREQ(got, want) << "seed " << (i + 1);
+    }
 }
 
 // --- placement --------------------------------------------------------------
