@@ -74,10 +74,23 @@ BM_FlashChannelRcThroughput(benchmark::State &state)
 }
 BENCHMARK(BM_FlashChannelRcThroughput);
 
+constexpr int kMixTiles = 2000;
+constexpr int kMixReadsPerTile = 2;
+
+/** Pages the flash channel mix moves: each tile's rc page on every
+ *  die of a default-geometry channel, plus its reads. */
+std::uint64_t
+flashChannelMixPages()
+{
+    return std::uint64_t(kMixTiles) *
+           (flash::FlashParams{}.geometry.diesPerChannel() +
+            kMixReadsPerTile);
+}
+
 /**
  * One default-geometry channel serving a fixed interleaved mix of
  * read-compute tiles (every core engaged) and sliced full-page reads:
- * the shape of a decode step's flash traffic, so its events/s tracks
+ * the shape of a decode step's flash traffic, so its pages/s tracks
  * the host cost of the whole flash hot path (bus grants, die
  * pipelines, completion routing) on top of the bare event kernel.
  * @return events executed.
@@ -85,8 +98,8 @@ BENCHMARK(BM_FlashChannelRcThroughput);
 std::uint64_t
 runFlashChannelMix()
 {
-    constexpr int kTiles = 2000;
-    constexpr int kReadsPerTile = 2;
+    constexpr int kTiles = kMixTiles;
+    constexpr int kReadsPerTile = kMixReadsPerTile;
     flash::FlashParams p;
     p.geometry.channels = 1;
     EventQueue eq;
@@ -430,8 +443,11 @@ emitJson(std::chrono::steady_clock::time_point wall0)
         std::uint64_t events = 0;
         const double s =
             bestSeconds(5, [&] { events = runFlashChannelMix(); });
+        // Work per second, not callbacks per second: a change that
+        // moves the same pages in fewer events must read as faster.
         j.add("flash_channel.events", events);
-        j.add("flash_channel.events_per_s", double(events) / s);
+        j.add("flash_channel.pages_per_s",
+              double(flashChannelMixPages()) / s);
     }
     {
         // Arrival-gap shape: the hierarchical calendar's headline
@@ -468,25 +484,27 @@ emitJson(std::chrono::steady_clock::time_point wall0)
         j.add("fault.ladder_draws_per_s", double(kDraws) / s);
     }
     {
-        // Fleet-scale events/sec: N independent serving replicas on
+        // Fleet-scale throughput: N independent serving replicas on
         // the worker pool (deterministic sim results, host-timed
-        // throughput). Sized to stay inside the CI smoke budget —
-        // per-event cost, not run length, is what the key tracks.
+        // simulated tokens per wall-second, best of 3 runs). Sized to
+        // stay inside the CI smoke budget.
         const core::Scheduler sched(core::presetS(), llm::opt6_7b());
         core::SchedOptions opt;
         opt.max_batch = 4;
         const core::FleetSweep fleet;
-        const core::FleetStats fs =
-            fleet.run(4, 2024, [&](std::size_t, std::uint64_t seed) {
+        core::FleetStats fs;
+        const double s = bestSeconds(3, [&] {
+            fs = fleet.run(4, 2024, [&](std::size_t, std::uint64_t seed) {
                 return sched.serve(
                     core::ArrivalTrace::poisson(500.0, 4, seed,
                                                 {{32, 2}, {48, 2}}),
                     opt);
             });
+        });
         j.add("fleet.replicas", std::uint64_t(fs.replicas));
         j.add("fleet.threads", std::uint64_t(fleet.threads()));
         j.add("fleet.sim_events", fs.sim_events);
-        j.add("fleet.events_per_s", fs.events_per_s);
+        j.add("fleet.sim_tokens_per_wall_s", double(fs.total_tokens) / s);
         j.add("fleet.goodput_tokens_per_s", fs.goodput_tokens_per_s);
     }
     {

@@ -5,6 +5,26 @@
  * credit) and dispatches ordinary page reads to idle read planes
  * (Slice Control's partner on the controller side).
  *
+ * The compute planes run as rc groups. Every die a tile engages gets
+ * the same page job, fed by the same input broadcast, so a run of
+ * dies [head, end) whose compute pipelines hold the same jobs in the
+ * same stage advances as one group: one kernel event per stage
+ * transition instead of one per die. Each group event sits where its
+ * first member's event would, and it applies the members' effects
+ * (sense and page counters, then each member's result request on the
+ * bus) in die order before the group advances. Nothing else can run
+ * between the members' per-die events, so every tick, bus grant and
+ * completion is the one the per-die model produces.
+ *  - A tile that engages only a prefix of a group splits it; the two
+ *    halves keep sharing the events already scheduled.
+ *  - A group whose next event would directly follow its left
+ *    neighbour's identical event, with both in the same state and
+ *    nothing else pending, merges into that neighbour.
+ *  - Two stages of one group due at the same tick, scheduled back to
+ *    back, share one event.
+ *  - While faults are armed every die is a group of one, so the fault
+ *    model's single random stream is drawn in the per-die order.
+ *
  * Completions are not upcalled synchronously: each finished tile
  * result or read page becomes a tagged Completion record handed to
  * the CompletionRouter, which delivers it to the owning client
@@ -17,6 +37,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ring_queue.h"
@@ -68,6 +89,10 @@ class ChannelEngine
 
     std::size_t readBacklog() const { return read_queue_.size(); }
 
+    /** Groups the dies' compute planes form right now: 1 while every
+     *  die steps in lockstep, dieCount() when none does. */
+    std::size_t rcGroups() const;
+
     // --- fault injection ---------------------------------------------
     /** Arm soft read failures on every die of this channel. */
     void setFaultModel(FaultModel *fault);
@@ -116,6 +141,67 @@ class ChannelEngine
 
     void tryActivate();
 
+    /** Compute-pipeline stage an rc event completes. */
+    enum class RcStage : std::uint8_t
+    {
+        Sense,  ///< array read into the data register
+        Move,   ///< data register -> cache register
+        Compute ///< the core finished the cache-register page
+    };
+
+    /** One scheduled rc event: its stages, in schedule order, complete
+     *  for every group in [owner head, span_end). */
+    struct RcEvent
+    {
+        std::uint32_t span_end = 0; ///< 0 marks a free slot
+        std::uint32_t n_stages = 0;
+        RcStage stages[2] = {};
+    };
+
+    /**
+     * The compute plane of the lockstep dies [head, end), stored at
+     * rc_[head]. A pending stage is marked by `reading`, `moving` or
+     * `core_busy`; the event that completes it is owned either by this
+     * head or, after a split, by a group further left.
+     */
+    struct RcGroup
+    {
+        std::uint32_t end = 0; ///< one past the last member die
+        RingQueue<RcPageJob> queue;
+        std::optional<RcPageJob> reading; ///< array read in flight
+        std::optional<RcPageJob> data_reg;
+        std::optional<RcPageJob> cache_reg;
+        bool moving = false; ///< data->cache move in flight
+        bool core_busy = false;
+        std::uint32_t attempt = 0; ///< ladder rung of the sense in flight
+        std::uint32_t retries = 0; ///< rungs that sense climbs in all
+        /** Events this head owns: at most a sense and a compute. */
+        RcEvent events[2];
+    };
+
+    /** Make @p die the head of a group (no-op at a boundary). */
+    void rcSplit(std::uint32_t die);
+    /** Run every pipeline stage group @p head can start now. */
+    void rcAdvance(std::uint32_t head);
+    /** Start the sense at group @p head's current ladder rung.
+     *  @return false when the group merged away (see rcSchedule). */
+    bool rcSense(std::uint32_t head);
+    /** Complete stage @p st for group @p head, then advance it. */
+    void rcComplete(std::uint32_t head, RcStage st);
+    /** Run the event in slot @p slot of group @p head. */
+    void rcFire(std::uint32_t head, std::uint32_t slot);
+    /**
+     * Schedule stage @p st of group @p head @p delay ticks from now:
+     * into the group's own newest event when that is due at the same
+     * tick, else by merging the group into its left neighbour (see
+     * the file comment), else as a new event.
+     * @return false when the group merged away; its state is then
+     * stale and the caller must stop touching it.
+     */
+    bool rcSchedule(std::uint32_t head, RcStage st, Tick delay);
+    /** Same jobs in the same stages (group extents aside). */
+    static bool rcSameState(const RcGroup &a, const RcGroup &b);
+
     struct ActiveTile
     {
         std::uint32_t seq;
@@ -135,6 +221,19 @@ class ChannelEngine
 
     ChannelBus bus_;
     std::vector<std::unique_ptr<DieModel>> dies_;
+    FaultModel *fault_ = nullptr;
+
+    /** Compute planes, indexed by die; only group heads are live. */
+    std::vector<RcGroup> rc_;
+    /** The newest rc event this channel scheduled: owner, slot, tick,
+     *  and the kernel's scheduled() count right after it. */
+    struct
+    {
+        std::uint32_t head = 0;
+        std::uint32_t slot = 0;
+        Tick when = 0;
+        std::uint64_t next_seq = ~std::uint64_t(0);
+    } rc_last_;
 
     RingQueue<RcTileWork> tile_queue_;
     /** At most tile_window_ tiles, in seq order; a linear scan beats

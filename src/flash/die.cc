@@ -5,108 +5,6 @@
 
 namespace camllm::flash {
 
-void
-DieModel::pushRcJob(const RcPageJob &job)
-{
-    rc_queue_.push_back(job);
-    advanceRc();
-}
-
-std::size_t
-DieModel::rcBacklog() const
-{
-    std::size_t n = rc_queue_.size();
-    n += rc_reading_.has_value();
-    n += rc_data_reg_.has_value();
-    n += rc_cache_reg_.has_value();
-    return n;
-}
-
-void
-DieModel::advanceRc()
-{
-    if (offline_)
-        return;
-
-    // Stage 1: array read into the data register. Per the paper's
-    // read-compute flow the input vector is delivered first (step 1)
-    // and only then is the weight page fetched (step 2); the plane
-    // also waits for the data register to be handed off.
-    if (!rc_reading_ && !rc_data_reg_ && !rc_queue_.empty() &&
-        owner_.inputReady(rc_queue_.front().tile_seq)) {
-        rc_reading_ = rc_queue_.front();
-        rc_queue_.pop_front();
-        startRcSense(0, fault_ ? drawFor(0) : 0);
-    }
-
-    // Stage 2: data register -> cache register move.
-    if (rc_data_reg_ && !rc_cache_reg_ && !rc_moving_) {
-        rc_moving_ = true;
-        eq_.scheduleIn(params_.timing.t_reg_move, [this] {
-            if (offline_)
-                return;
-            rc_cache_reg_ = rc_data_reg_;
-            rc_data_reg_.reset();
-            rc_moving_ = false;
-            advanceRc();
-        });
-    }
-
-    // Stage 3: compute, gated on the broadcast input vector.
-    if (rc_cache_reg_ && !core_busy_ &&
-        owner_.inputReady(rc_cache_reg_->tile_seq)) {
-        core_busy_ = true;
-        const Tick dur = rc_cache_reg_->compute_time;
-        core_busy_stat_.addBusy(eq_.now(), eq_.now() + dur);
-        eq_.scheduleIn(dur, [this] {
-            if (offline_)
-                return;
-            RcPageJob job = *rc_cache_reg_;
-            rc_cache_reg_.reset();
-            core_busy_ = false;
-            ++pages_computed_;
-            // The result waits in the output buffer for a bus grant.
-            bus_.request(BusPriority::High, job.out_bytes,
-                         [this, job] {
-                             if (!offline_)
-                                 owner_.onRcResultDelivered(job);
-                         },
-                         "rc-result");
-            advanceRc();
-        });
-    }
-}
-
-/**
- * One sense of the compute-plane page. The rc stream is decoded by
- * the on-die ECC engine, so a failed sense costs only the escalated
- * re-read — nothing crosses the bus until a rung decodes.
- */
-void
-DieModel::startRcSense(std::uint32_t attempt, std::uint32_t retries)
-{
-    ++array_reads_;
-    if (attempt > 0)
-        ++retry_reads_;
-    // Every sense routes through the fault model when armed: attempt
-    // 0 at default ECC strength is the base tR exactly, while an
-    // armed ECC strength pays its soft-sense factor on every attempt.
-    const Tick tr = fault_
-                        ? fault_->senseTime(params_.timing.t_read, attempt)
-                        : params_.timing.t_read;
-    eq_.scheduleIn(tr, [this, attempt, retries] {
-        if (offline_)
-            return;
-        if (attempt < retries) {
-            startRcSense(attempt + 1, retries);
-            return;
-        }
-        rc_data_reg_ = rc_reading_;
-        rc_reading_.reset();
-        advanceRc();
-    });
-}
-
 bool
 DieModel::canAcceptRead() const
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Timing model of one flash die with on-die processing.
+ * Timing model of one flash die's read plane, plus the die's counters.
  *
  * Per the Cambricon-LLM design each die has two planes and one shared
  * Compute Core. One plane is dedicated to the read-compute stream (its
@@ -9,6 +9,12 @@
  * the tR array read) and a cache register (drained by the core or the
  * channel), giving the classic two-stage pipeline: the next array read
  * overlaps the consumption of the previous page.
+ *
+ * Only the read plane is stepped here, one die at a time. Every die a
+ * tile engages senses, moves and computes that tile's page at the same
+ * ticks, so the owning ChannelEngine runs the compute plane of a run of
+ * such lockstep dies as one rc group (see channel_engine.h) and charges
+ * each member's senses and computed pages to its die here.
  */
 
 #ifndef CAMLLM_FLASH_DIE_H
@@ -18,7 +24,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/ring_queue.h"
 #include "flash/bus.h"
 #include "flash/fault.h"
 #include "flash/params.h"
@@ -30,10 +35,9 @@ namespace camllm::flash {
 class ChannelEngine;
 
 /**
- * Event-driven model of one on-die-processing flash die. Its upcalls
- * (input-vector checks, delivered results and pages, a freed read
- * slot, drained retry traffic) are direct calls into the owning
- * ChannelEngine.
+ * Event-driven model of one die's read plane. Its upcalls (a freed
+ * read slot, delivered pages, drained retry traffic) are direct calls
+ * into the owning ChannelEngine.
  */
 class DieModel
 {
@@ -48,16 +52,6 @@ class DieModel
     {
     }
 
-    // --- read-compute stream ---------------------------------------
-    /** Queue an atomic-tile page for the compute plane. */
-    void pushRcJob(const RcPageJob &job);
-
-    /** Re-evaluate the core (called when an input vector arrives). */
-    void notifyInputArrived() { advanceRc(); }
-
-    /** Jobs queued or in flight on the compute plane. */
-    std::size_t rcBacklog() const;
-
     // --- ordinary read stream ---------------------------------------
     /** @return true when the read plane can start another array read. */
     bool canAcceptRead() const;
@@ -68,6 +62,11 @@ class DieModel
     // --- fault injection ---------------------------------------------
     /** Arm soft read failures; @p fault must outlive the die. */
     void setFaultModel(FaultModel *fault) { fault_ = fault; }
+
+    /** Ladder draw for a fresh sense of @p plane: per-plane wear when
+     *  the fault model tracks it, the uniform spec draw otherwise.
+     *  @pre a fault model is armed. */
+    std::uint32_t drawFor(std::uint32_t plane);
 
     /**
      * The channel died: stop reacting to anything still scheduled.
@@ -81,23 +80,28 @@ class DieModel
      *  the facade can re-issue them on a surviving channel. */
     void collectReads(std::vector<ReadPageJob> &out) const;
 
+    // --- compute-plane work, charged by the channel's rc groups ------
+    /** One array read of the compute plane (@p retry: a ladder rung). */
+    void
+    countRcSense(bool retry)
+    {
+        ++array_reads_;
+        retry_reads_ += retry;
+    }
+
+    /** One page computed by this die's core. */
+    void countRcPage() { ++pages_computed_; }
+
     // --- statistics ---------------------------------------------------
     std::uint64_t pagesComputed() const { return pages_computed_; }
     std::uint64_t pagesRead() const { return pages_read_; }
     std::uint64_t arrayReads() const { return array_reads_; }
     std::uint64_t retryReads() const { return retry_reads_; }
-    const BusyTracker &coreBusy() const { return core_busy_stat_; }
 
   private:
-    void advanceRc();
     void advanceRead();
-    void startRcSense(std::uint32_t attempt, std::uint32_t retries);
     void startReadSense(std::uint32_t attempt, std::uint32_t retries);
     void drainFailedRead(std::uint32_t attempt, std::uint32_t retries);
-
-    /** Ladder draw for a fresh sense of @p plane: per-plane wear when
-     *  the fault model tracks it, the uniform spec draw otherwise. */
-    std::uint32_t drawFor(std::uint32_t plane);
 
     /** Plane ordinary reads are served from (the read-share plane
      *  when the die has more than one). */
@@ -112,14 +116,6 @@ class DieModel
     ChannelEngine &owner_;
     std::uint32_t channel_ = 0;
     std::uint32_t die_ = 0;
-
-    // read-compute plane pipeline
-    RingQueue<RcPageJob> rc_queue_;
-    std::optional<RcPageJob> rc_reading_;  ///< array read in flight
-    std::optional<RcPageJob> rc_data_reg_;
-    std::optional<RcPageJob> rc_cache_reg_;
-    bool rc_moving_ = false; ///< data->cache move in flight
-    bool core_busy_ = false;
 
     // read plane pipeline
     std::optional<ReadPageJob> rd_reading_;
@@ -137,7 +133,6 @@ class DieModel
     std::uint64_t pages_read_ = 0;
     std::uint64_t array_reads_ = 0;
     std::uint64_t retry_reads_ = 0;
-    BusyTracker core_busy_stat_;
 };
 
 } // namespace camllm::flash

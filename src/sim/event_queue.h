@@ -111,6 +111,13 @@ class EventQueue
      */
     std::uint64_t popped() const { return popped_; }
 
+    /**
+     * Events scheduled so far, which is also the sequence number the
+     * next scheduled event receives: a caller that records it after
+     * scheduling can later tell whether its event is still the newest.
+     */
+    std::uint64_t scheduled() const { return next_seq_; }
+
     /** Number of events still pending, chained ones included. */
     std::size_t pending() const { return pending_; }
 

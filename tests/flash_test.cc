@@ -554,6 +554,102 @@ TEST(ChannelEngine, PartialTileUsesSubsetOfCores)
     EXPECT_EQ(ce.die(3).pagesComputed(), 0u);
 }
 
+TEST(ChannelEngine, LockstepDiesStepAsOneGroup)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.eq = &eq;
+    cl.attach(router);
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 4; // 4 dies
+    ChannelEngine ce(eq, p, router);
+    RcTileWork tile;
+    tile.op_id = 1;
+    tile.cores_used = 4;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    ce.submitTile(tile);
+    eq.run();
+    EXPECT_EQ(ce.rcGroups(), 1u);
+    // One input grant, one sense, one move and one compute event for
+    // the whole group, then four result grants and their deliveries.
+    // One event per die and stage would make 21.
+    EXPECT_EQ(eq.executed(), 12u);
+    EXPECT_EQ(cl.rc_times, (std::vector<Tick>{1666, 1708, 1750, 1792}));
+    for (std::size_t d = 0; d < ce.dieCount(); ++d)
+        EXPECT_EQ(ce.die(d).pagesComputed(), 1u);
+    EXPECT_EQ(ce.arrayReads(), 4u);
+}
+
+TEST(ChannelEngine, PartialTileSplitsGroupUntilHalvesRestartTogether)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.attach(router);
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 4;
+    ChannelEngine ce(eq, p, router);
+    RcTileWork tile;
+    tile.op_id = 1;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    tile.cores_used = 2;
+    ce.submitTile(tile);
+    tile.cores_used = 4;
+    ce.submitTile(tile);
+    EXPECT_EQ(ce.rcGroups(), 2u);
+    eq.run();
+    // Drained halves stay apart until work restarts them...
+    EXPECT_EQ(ce.rcGroups(), 2u);
+    EXPECT_EQ(ce.die(1).pagesComputed(), 2u);
+    EXPECT_EQ(ce.die(2).pagesComputed(), 1u);
+    // ...and a full tile then senses on both at once, as one group:
+    // the same 12 events as on a fresh channel.
+    const std::uint64_t before = eq.executed();
+    ce.submitTile(tile);
+    eq.run();
+    EXPECT_EQ(ce.rcGroups(), 1u);
+    EXPECT_EQ(eq.executed() - before, 12u);
+    EXPECT_EQ(cl.rc_results[1], 2u + 4 + 4);
+}
+
+TEST(ChannelEngine, SplitHalvesRejoinOnceTheirPipelinesAlign)
+{
+    EventQueue eq;
+    CompletionRouter router(eq);
+    TestClient cl;
+    cl.attach(router);
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 4;
+    ChannelEngine ce(eq, p, router);
+    RcTileWork tile;
+    tile.op_id = 1;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    tile.cores_used = 2;
+    ce.submitTile(tile);
+    // The second tile's input lands at 1274, while dies 0-1 still
+    // compute the first tile (until 1624): both halves sense it from
+    // 1274, the left one with a compute still pending, so they stay
+    // apart until both move it to the cache register at 2274.
+    RcTileWork full = tile;
+    full.op_id = 2;
+    full.cores_used = 4;
+    eq.schedule(1200, [&] { ce.submitTile(full); });
+    eq.runUntil(2000);
+    EXPECT_EQ(ce.rcGroups(), 2u);
+    eq.runUntil(2300);
+    EXPECT_EQ(ce.rcGroups(), 1u);
+    eq.run();
+    EXPECT_EQ(cl.rc_results[1], 2u);
+    EXPECT_EQ(cl.rc_results[2], 4u);
+}
+
 TEST(ChannelEngine, ReadsSpreadRoundRobinAcrossDies)
 {
     EventQueue eq;
@@ -748,6 +844,33 @@ TEST(FlashSystem, ChannelByteAccounting)
     EXPECT_EQ(fs.channelBytesHigh(), 120u);
     EXPECT_EQ(fs.channelBytesLow(), 512u);
     EXPECT_EQ(fs.channelBytes(), 632u);
+}
+
+TEST(FlashSystem, ArmedFaultsKeepEveryDieItsOwnGroup)
+{
+    // The fault model draws each sense's retry ladder from one stream
+    // in die order, so with faults armed no two dies share a group.
+    EventQueue eq;
+    FlashParams p = testParams();
+    p.geometry.chips_per_channel = 4;
+    FlashSystem fs(eq, p);
+    FaultSpec spec;
+    spec.channel_faults.push_back({0, 1.0, 0, 1000000, false});
+    fs.armFaults(spec);
+    TestClient cl;
+    cl.attach(fs);
+    RcTileWork tile;
+    tile.client = cl.id;
+    tile.op_id = 1;
+    tile.cores_used = 4;
+    tile.input_bytes = 64;
+    tile.out_bytes_per_core = 32;
+    tile.compute_time = 500;
+    fs.submitTile(0, tile);
+    EXPECT_EQ(fs.channel(0).rcGroups(), 4u);
+    eq.run();
+    EXPECT_EQ(fs.channel(0).rcGroups(), 4u);
+    EXPECT_EQ(cl.rc_results[1], 4u);
 }
 
 TEST(FlashSystem, UtilizationBetweenZeroAndOne)

@@ -15,6 +15,8 @@
  * The digest leaves out sim_events, the kernel's callback count: it
  * measures host work, not simulated behaviour, and a change that runs
  * the same simulation in fewer events must still match every digest.
+ * kSimEvents pins that count exactly for four seeds instead, so a
+ * change to it is always deliberate.
  *
  * kGoldenDigests holds the digests the scheduler produced before its
  * facade and memo layers were removed. Refactors of serve() must keep
@@ -271,6 +273,23 @@ constexpr std::uint64_t kGoldenDigests[] = {
     0x39f0e2f6fc28a5be,
 };
 
+/**
+ * Kernel callbacks of four seeds' serves, recorded once the lockstep
+ * dies of a tile were stepped as one group: fault-free (3), chunked
+ * prefill with KV swap (97), soft read failures (2), and a channel
+ * lost mid-serve (37).
+ */
+constexpr struct
+{
+    std::uint64_t seed;
+    std::uint64_t sim_events;
+} kSimEvents[] = {
+    {3, 1743511},
+    {97, 3340027},
+    {2, 2198480},
+    {37, 2405447},
+};
+
 TEST(ServeDigest, SeededServesMatchRecordedDigests)
 {
     const CamConfig cfg = presetS();
@@ -313,6 +332,9 @@ TEST(ServeDigest, SeededServesMatchRecordedDigests)
                       kGoldenDigests[i]);
         EXPECT_STREQ(got, want) << "seed " << seed;
     }
+    for (const auto &pin : kSimEvents)
+        EXPECT_EQ(runs[pin.seed - 1].sim_events, pin.sim_events)
+            << "seed " << pin.seed;
 }
 
 // Known defect, kept visible: see kAdmissionDeadlockSeed. When the
